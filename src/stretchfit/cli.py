@@ -28,15 +28,7 @@ from .experiment import (
     run_monte_carlo,
     trial_rng,
 )
-from .lsq import (
-    Dataset,
-    FitResult,
-    ModelSpec,
-    NonConvergenceError,
-    SingularFitError,
-    fit_linear,
-    fit_nonlinear,
-)
+from .lsq import Dataset, FitResult, ModelSpec, SingularFitError, fit
 from .stretched import StageFailure, stretched_fit
 
 EXIT_OK = 0
@@ -75,14 +67,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _fit_dict(fit: FitResult) -> dict:
-    model = fit.model.family if fit.model.degree is None else f"poly{fit.model.degree}"
+def _fit_dict(result: FitResult) -> dict:
+    model = result.model.family if result.model.degree is None else f"poly{result.model.degree}"
     return {
         "model": model,
-        "params": [float(v) for v in fit.params],
-        "sse": float(fit.sse),
-        "iterations": int(fit.iterations),
-        "converged": bool(fit.converged),
+        "params": [float(v) for v in result.params],
+        "sse": float(result.sse),
+        "iterations": int(result.iterations),
+        "converged": bool(result.converged),
+        "stop_reason": result.stop_reason,
     }
 
 
@@ -180,15 +173,9 @@ def cmd_fit(args) -> int:
 
     code = EXIT_OK
     if args.method == "lsm":
-        if model.family == "polynomial":
-            fit = fit_linear(model.degree, data)
-        else:
-            try:
-                fit = fit_nonlinear(data, model=model)
-            except NonConvergenceError as exc:
-                fit = exc.best
-        report = {"manifest": json.loads(manifest.to_json()), "method": "lsm", **_fit_dict(fit)}
-        if not fit.converged:
+        result = fit(model, data)
+        report = {"manifest": json.loads(manifest.to_json()), "method": "lsm", **_fit_dict(result)}
+        if not result.converged:
             code = EXIT_NONCONVERGED
     else:
         sf = stretched_fit(model, data, args.beta)
@@ -221,6 +208,8 @@ def _report_dict(token: str, report) -> dict:
         "failures": [{"trial": i, "error": msg} for i, msg in report.failures],
         "win_rate_error1": report.win_rate_error1,
         "win_rate_error2": report.win_rate_error2,
+        "ties_error1": report.ties_error1,
+        "ties_error2": report.ties_error2,
         "medians": report.medians,
         "iqrs": report.iqrs,
         "trials": [
@@ -307,9 +296,10 @@ def cmd_tables(args) -> int:
 
         summary_path = outdir / f"summary_{stem}.csv"
         summary_header = ["config", "repetitions", "excluded",
-                          "win_rate_error1", "win_rate_error2"]
+                          "win_rate_error1", "win_rate_error2", "ties_error1", "ties_error2"]
         summary_row: list = [token, report.repetitions, len(report.failures),
-                             float(report.win_rate_error1), float(report.win_rate_error2)]
+                             float(report.win_rate_error1), float(report.win_rate_error2),
+                             report.ties_error1, report.ties_error2]
         for col in ERROR_COLUMNS:
             summary_header += [f"median_{col}", f"iqr_{col}"]
             summary_row += [report.medians[col], report.iqrs[col]]
@@ -355,7 +345,8 @@ def cmd_tables(args) -> int:
 # wiring
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each subcommand, by name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base random seed")
     common.add_argument("--out", type=str, default=None, help="output path")
@@ -403,40 +394,56 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--configs", type=str, default=None,
                    help="comma-separated subset, e.g. poly:b0.4:e30")
     p.set_defaults(func=cmd_tables)
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_file(args) -> None:
-    if not getattr(args, "config", None):
-        return
+def _config_value(key: str, value, action: argparse.Action):
+    """``value`` checked against the type and choices of its option."""
+    kind = action.type or str
+    if value is None and action.default is None:
+        return None
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if type(value) is not kind:
+        raise ValueError(
+            f"--config key {key!r} must be a JSON {kind.__name__}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"--config key {key!r} must be one of {list(action.choices)}")
+    return value
+
+
+def _config_defaults(path: str, command: argparse.ArgumentParser) -> dict:
+    """Entries of a --config file, checked against the subcommand's options."""
     try:
-        overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        entries = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot load --config {args.config}: {exc}") from exc
-    if not isinstance(overrides, dict):
+        raise ValueError(f"cannot load --config {path}: {exc}") from exc
+    if not isinstance(entries, dict):
         raise ValueError("--config must contain a JSON object")
-    for key, value in overrides.items():
-        if not hasattr(args, key):
-            raise ValueError(f"--config key {key!r} is not a known option")
-        setattr(args, key, value)
+    options = {a.dest: a for a in command._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    unknown = sorted(set(entries) - set(options))
+    if unknown:
+        raise ValueError(f"--config keys {unknown} are not options of this command")
+    return {key: _config_value(key, value, options[key]) for key, value in entries.items()}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        if args.config:
+            # Config entries become defaults, so flags given explicitly win.
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(args.config, command))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"stretchfit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NonConvergenceError as exc:
-        print(f"stretchfit: non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGED
     except StageFailure as exc:
-        nonconv = isinstance(exc.__cause__, NonConvergenceError)
         print(f"stretchfit: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGED if nonconv else EXIT_NUMERICAL
+        return EXIT_NUMERICAL
     except (SingularFitError, SamplerFailureError, np.linalg.LinAlgError) as exc:
         print(f"stretchfit: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

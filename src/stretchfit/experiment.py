@@ -23,14 +23,11 @@ from .distribution import (
     standardize,
 )
 from .lsq import (
-    POLYNOMIAL,
     Dataset,
     FitResult,
     ModelSpec,
-    NonConvergenceError,
     SingularFitError,
-    fit_linear,
-    fit_nonlinear,
+    fit,
     predict,
 )
 from .stretched import StageFailure, StretchedFit, stretched_fit
@@ -39,15 +36,19 @@ EQUAL_SPACING = "equal"
 UNIFORM_SPACING = "uniform"
 
 # Error families that mark a trial failed (excluded from win rates) rather
-# than aborting the whole Monte Carlo run.
+# than aborting the whole Monte Carlo run.  A fit that did not converge is
+# not among them: it is kept and flagged by its stop reason.
 TRIAL_FAILURE_TYPES = (
     SingularFitError,
-    NonConvergenceError,
     StageFailure,
     SamplerFailureError,
 )
 
 ERROR_COLUMNS = ("lsm_error1", "lsm_error2", "slsm_error1", "slsm_error2")
+
+# Two errors of one trial tie when they differ by at most this share of the
+# larger one: at beta = 1 the methods coincide and differ only by rounding.
+TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,9 @@ class ExperimentReport:
 
     Win rates are exact fractions of successful trials in which the
     stretched method is strictly better on the given metric; failed trials
-    are listed and excluded from the denominators.
+    are listed and excluded from the denominators.  Ties count the trials
+    whose two errors agree to TIE_RTOL; they are reported apart and do not
+    change the strict win rates.
     """
 
     config: TrialConfig
@@ -122,6 +125,8 @@ class ExperimentReport:
     failures: tuple[tuple[int, str], ...]
     win_rate_error1: float
     win_rate_error2: float
+    ties_error1: int
+    ties_error2: int
     medians: dict[str, float] = field(default_factory=dict)
     iqrs: dict[str, float] = field(default_factory=dict)
 
@@ -166,23 +171,13 @@ def error2(fitted: Callable, truth: Callable, x) -> float:
     return float(np.sqrt(np.mean(diff**2)))
 
 
-def _fit_plain(cfg: TrialConfig, data: Dataset) -> FitResult:
-    if cfg.regression.family == POLYNOMIAL:
-        return fit_linear(cfg.regression.degree, data)
-    try:
-        return fit_nonlinear(data, model=cfg.regression)
-    except NonConvergenceError as exc:
-        # Report the best effort rather than discarding the trial.
-        return exc.best
-
-
 def run_trial(cfg: TrialConfig, trial_index: int = 0) -> TrialReport:
     """One trial: build data, fit both methods, score against the truth."""
     rng = trial_rng(cfg.seed, trial_index)
     data = make_noisy_dataset(cfg, rng)
     truth = cfg.truth_function()
 
-    lsm = _fit_plain(cfg, data)
+    lsm = fit(cfg.regression, data)
     slsm = stretched_fit(cfg.regression, data, cfg.beta)
 
     return TrialReport(
@@ -206,6 +201,10 @@ def _column_stats(reports: list[TrialReport]) -> tuple[dict[str, float], dict[st
         q25, q75 = np.percentile(col, [25.0, 75.0], method="linear")
         iqrs[name] = float(q75 - q25)
     return medians, iqrs
+
+
+def _tie(a: float, b: float) -> bool:
+    return abs(a - b) <= TIE_RTOL * max(a, b)
 
 
 def run_monte_carlo(cfg: TrialConfig, repetitions: int, threads: int = 1) -> ExperimentReport:
@@ -242,6 +241,8 @@ def run_monte_carlo(cfg: TrialConfig, repetitions: int, threads: int = 1) -> Exp
     else:
         win_rate_error1 = win_rate_error2 = float("nan")
         medians, iqrs = {}, {}
+    ties_error1 = sum(1 for t in trials if _tie(t.lsm_error1, t.slsm_error1))
+    ties_error2 = sum(1 for t in trials if _tie(t.lsm_error2, t.slsm_error2))
 
     return ExperimentReport(
         config=cfg,
@@ -250,6 +251,8 @@ def run_monte_carlo(cfg: TrialConfig, repetitions: int, threads: int = 1) -> Exp
         failures=failures,
         win_rate_error1=win_rate_error1,
         win_rate_error2=win_rate_error2,
+        ties_error1=ties_error1,
+        ties_error2=ties_error2,
         medians=medians,
         iqrs=iqrs,
     )

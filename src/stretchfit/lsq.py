@@ -2,8 +2,12 @@
 
 Polynomials are fitted in closed form through an orthogonal factorization
 of the Vandermonde design matrix.  Sinusoids a*sin(b*x + c) + d go through
-a damped Gauss-Newton iteration with analytic Jacobian and a deterministic
-multi-start grid over frequency and phase.
+variable projection: for a fixed frequency b the model is linear in
+(A, B, d) with A sin(bx) + B cos(bx) + d, so the SSE is a one-dimensional
+profile in b (Golub & Pereyra 1973).  The profile is scanned on a fixed
+frequency grid, refined between the best grid point's neighbours, and the
+optimum is polished by a damped Gauss-Newton iteration with analytic
+Jacobian.
 """
 
 from __future__ import annotations
@@ -16,8 +20,19 @@ import numpy as np
 POLYNOMIAL = "polynomial"
 SINUSOID = "sinusoid"
 
-# Damped Gauss-Newton controls: multiplicative damping, relative-decrease /
-# step-size termination, hard iteration cap per start.
+# Why a fit stopped.  A closed-form solve, the tolerance test and a
+# saturated damping (no representable step lowers the SSE) count as
+# converged; the iteration cap and the frequency boundary do not.
+CLOSED_FORM = "closed_form"
+TOLERANCE = "tolerance"
+DAMPING_SATURATED = "damping_saturated"
+ITERATION_CAP = "iteration_cap"
+BOUNDARY = "boundary"
+STOP_REASONS = (CLOSED_FORM, TOLERANCE, DAMPING_SATURATED, ITERATION_CAP, BOUNDARY)
+_CONVERGED = (CLOSED_FORM, TOLERANCE, DAMPING_SATURATED)
+
+# Damped Gauss-Newton controls: multiplicative damping, relative SSE change /
+# step-size termination, hard iteration cap.
 _DAMPING_INIT = 1e-3
 _DAMPING_UP = 10.0
 _DAMPING_DOWN = 10.0
@@ -25,10 +40,14 @@ _SSE_REL_TOL = 1e-12
 _STEP_TOL = 1e-10
 _MAX_ITER = 200
 
-# Multi-start grid: frequency multipliers of (2*pi / abscissa span) and
-# phase offsets, in priority order; 15 starts in total.
-_B_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
-_C_OFFSETS = (-math.pi / 2, 0.0, math.pi / 2)
+# Frequency grid of the profile scan: k * base / _GRID_DENSITY for
+# k = 1.._GRID_POINTS, base = 2*pi / abscissa span, so up to 8 periods over
+# the span.  The first grid frequency is the lower end of the search domain.
+_GRID_DENSITY = 20
+_GRID_POINTS = 160
+# Largest (frequencies x points) block of one vectorised profile pass, which
+# bounds its memory on long data sets.
+_GRID_BLOCK = 1 << 16
 
 
 class SingularFitError(RuntimeError):
@@ -36,7 +55,7 @@ class SingularFitError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Every start of the iterative solver failed to meet tolerance.
+    """A Gauss-Newton run from a caller's start missed tolerance.
 
     Carries the lowest-SSE result seen so far in ``best``.
     """
@@ -100,13 +119,16 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class FitResult:
-    """A fitted coefficient vector plus solver diagnostics."""
+    """A fitted coefficient vector plus solver diagnostics.
+
+    ``stop_reason`` is one of STOP_REASONS and says why the solver stopped.
+    """
 
     model: ModelSpec
     params: np.ndarray
     sse: float
     iterations: int
-    converged: bool
+    stop_reason: str
 
     def __post_init__(self) -> None:
         p = np.asarray(self.params, dtype=float)
@@ -114,7 +136,14 @@ class FitResult:
             raise ValueError(
                 f"{self.model.family} expects {self.model.n_params} parameters, got {p.size}"
             )
+        if self.stop_reason not in STOP_REASONS:
+            raise ValueError(f"unknown stop reason {self.stop_reason!r}")
         object.__setattr__(self, "params", p)
+
+    @property
+    def converged(self) -> bool:
+        """True unless the solver stopped at its iteration cap or at the boundary."""
+        return self.stop_reason in _CONVERGED
 
     def predict(self, x) -> np.ndarray:
         return predict(self.model, self.params, x)
@@ -161,7 +190,7 @@ def fit_linear(degree: int, data: Dataset) -> FitResult:
         )
     residual = design @ coeffs - data.y
     model = ModelSpec.polynomial(degree)
-    return FitResult(model, coeffs, float(residual @ residual), 0, True)
+    return FitResult(model, coeffs, float(residual @ residual), 0, CLOSED_FORM)
 
 
 def _sinusoid_residual_jacobian(params: np.ndarray, x: np.ndarray, y: np.ndarray):
@@ -173,15 +202,14 @@ def _sinusoid_residual_jacobian(params: np.ndarray, x: np.ndarray, y: np.ndarray
     return r, jac
 
 
-def _damped_gauss_newton(x: np.ndarray, y: np.ndarray, p0) -> tuple[np.ndarray, float, int, bool]:
-    """One solver run from one start; returns (params, sse, iterations, converged)."""
+def _damped_gauss_newton(x: np.ndarray, y: np.ndarray, p0) -> tuple[np.ndarray, float, int, str]:
+    """One solver run from one start; returns (params, sse, iterations, stop_reason)."""
     p = np.asarray(p0, dtype=float).copy()
-    r, _ = _sinusoid_residual_jacobian(p, x, y)
+    r, jac = _sinusoid_residual_jacobian(p, x, y)
     sse = float(r @ r)
     lam = _DAMPING_INIT
     eye = np.eye(4)
     for it in range(1, _MAX_ITER + 1):
-        _, jac = _sinusoid_residual_jacobian(p, x, y)
         grad = jac.T @ r
         hess = jac.T @ jac
         try:
@@ -190,25 +218,36 @@ def _damped_gauss_newton(x: np.ndarray, y: np.ndarray, p0) -> tuple[np.ndarray, 
             lam *= _DAMPING_UP
             continue
         candidate = p + step
-        r_new, _ = _sinusoid_residual_jacobian(candidate, x, y)
+        r_new, jac_new = _sinusoid_residual_jacobian(candidate, x, y)
         sse_new = float(r_new @ r_new)
-        if sse_new <= sse and np.all(np.isfinite(candidate)):
-            rel_drop = (sse - sse_new) / sse if sse > 0.0 else 0.0
-            p, r, sse = candidate, r_new, sse_new
+        if not math.isfinite(sse_new):
+            sse_new = math.inf
+        # A step that moves the SSE by less than the tolerance either way ends
+        # the run: at the optimum, rounding decides the sign of the change.
+        settled = (abs(sse - sse_new) <= _SSE_REL_TOL * sse
+                   or float(np.max(np.abs(step))) < _STEP_TOL)
+        if sse_new <= sse:
+            p, r, jac, sse = candidate, r_new, jac_new, sse_new
             lam = max(lam / _DAMPING_DOWN, 1e-15)
-            if rel_drop < _SSE_REL_TOL or float(np.max(np.abs(step))) < _STEP_TOL:
-                return p, sse, it, True
         else:
             lam *= _DAMPING_UP
-            if lam > 1e15:
-                # Steps this damped are numerically zero: stationary point.
-                return p, sse, it, True
-    return p, sse, _MAX_ITER, False
+        if settled:
+            return p, sse, it, TOLERANCE
+        if lam > 1e15:
+            # Steps this damped are numerically zero: stationary point.
+            return p, sse, it, DAMPING_SATURATED
+    return p, sse, _MAX_ITER, ITERATION_CAP
 
 
 def canonicalize_sinusoid(params) -> np.ndarray:
-    """Resolve the (a,b,c,d) <-> (-a,b,c+pi,d) symmetry: a > 0, c in (-pi, pi]."""
+    """Resolve the sign symmetries of a*sin(b*x + c) + d: b >= 0, a > 0, c in (-pi, pi].
+
+    (a, b, c, d) with b < 0 is the curve (a, -b, pi - c, d), and
+    (a, b, c, d) the curve (-a, b, c + pi, d).
+    """
     a, b, c, d = (float(v) for v in np.asarray(params, dtype=float))
+    if b < 0.0:
+        b, c = -b, math.pi - c
     if a < 0.0:
         a, c = -a, c + math.pi
     c = (c + math.pi) % (2.0 * math.pi) - math.pi
@@ -218,38 +257,138 @@ def canonicalize_sinusoid(params) -> np.ndarray:
     return np.array([a, b, c, d])
 
 
-def default_starts(data: Dataset, starts: int | None = None) -> list[np.ndarray]:
-    """Deterministic multi-start grid for the sinusoid solver.
-
-    Frequencies are multiples of 2*pi over the abscissa span; amplitude and
-    offset come from the ordinate range and mean.  ``starts`` truncates the
-    grid (1 start reproduces single-basin behaviour).
-    """
-    span = float(data.x.max() - data.x.min())
+def _frequency_grid(x: np.ndarray) -> np.ndarray:
+    """The profile scan's frequencies; the first is the search domain's lower end."""
+    span = float(x.max() - x.min())
     if span <= 0.0:
         raise ValueError("abscissas must span a positive interval")
-    a0 = (float(data.y.max()) - float(data.y.min())) / 2.0
-    d0 = float(data.y.mean())
-    grid = [
-        np.array([a0, mult * 2.0 * math.pi / span, c0, d0])
-        for mult in _B_MULTIPLIERS
-        for c0 in _C_OFFSETS
-    ]
-    if starts is not None:
-        if starts < 1:
-            raise ValueError("starts must be at least 1")
-        grid = grid[:starts]
-    return grid
+    base = 2.0 * math.pi / span
+    return base / _GRID_DENSITY * np.arange(1, _GRID_POINTS + 1)
 
 
-def fit_nonlinear(data: Dataset, init=None, *, model: ModelSpec | None = None,
-                  starts: int | None = None) -> FitResult:
+def _grid_profile(x: np.ndarray, y: np.ndarray, unit: float, count: int) -> np.ndarray:
+    """Profile SSE at the frequencies k * unit, k = 1..count, for ranking them.
+
+    One vectorised (frequencies x n) pass per block: exp(i k unit x) comes
+    from a running product over k (about k ulps of error, ample for a
+    ranking), centering removes the offset column, and the 2x2 normal
+    equations of the centered sin and cos columns give the explained sum of
+    squares.  Frequencies whose columns are degenerate get +inf.
+    """
+    yc = y - y.mean()
+    tss = float(yc @ yc)
+    step = np.exp(1j * unit * x)
+    phase = np.ones_like(step)
+    rows = max(1, _GRID_BLOCK // x.size)
+    out = np.empty(count)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, count, rows):
+            z = phase * np.cumprod(np.broadcast_to(step, (min(rows, count - lo), x.size)), axis=0)
+            phase = z[-1]
+            s = z.imag - z.imag.mean(axis=1, keepdims=True)
+            c = z.real - z.real.mean(axis=1, keepdims=True)
+            ss = np.einsum("ij,ij->i", s, s)
+            cc = np.einsum("ij,ij->i", c, c)
+            sc = np.einsum("ij,ij->i", s, c)
+            sy, cy = s @ yc, c @ yc
+            explained = (cc * sy * sy - 2.0 * sc * sy * cy + ss * cy * cy) / (ss * cc - sc * sc)
+            out[lo:lo + z.shape[0]] = tss - explained
+    return np.where(np.isfinite(out), out, np.inf)
+
+
+def _linear_at(b: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Exact least squares at a fixed frequency: (a, b, c, d) and its SSE."""
+    design = np.column_stack([np.sin(b * x), np.cos(b * x), np.ones_like(x)])
+    (amp_s, amp_c, d), *_ = np.linalg.lstsq(design, y, rcond=None)
+    r = design @ np.array([amp_s, amp_c, d]) - y
+    # amp_s sin(bx) + amp_c cos(bx) = a sin(bx + c) with a cos c = amp_s, a sin c = amp_c.
+    params = np.array([math.hypot(amp_s, amp_c), b, math.atan2(amp_c, amp_s), d])
+    return params, float(r @ r)
+
+
+def _brent_minimize(f, lo: float, hi: float) -> tuple[float, float]:
+    """Minimise f on [lo, hi], lo > 0, to a relative precision of sqrt(eps).
+
+    Brent's method (golden section with parabolic steps), as in fmin of
+    Forsythe, Malcolm & Moler (1977); returns (x, f(x)) of the best point.
+    """
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
+    rel = math.sqrt(np.finfo(float).eps)
+    x = w = v = lo + golden * (hi - lo)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        tol1 = rel * abs(x)
+        tol2 = 2.0 * tol1
+        if abs(x - mid) <= tol2 - 0.5 * (hi - lo):
+            return x, fx
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (lo - x) < p < q * (hi - x):
+                e, d = d, p / q
+                if (x + d) - lo < tol2 or hi - (x + d) < tol2:
+                    d = tol1 if x < mid else -tol1
+                parabolic = True
+        if not parabolic:
+            e = (hi - x) if x < mid else (lo - x)
+            d = golden * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu <= fx:
+            if u < x:
+                hi = x
+            else:
+                lo = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def _variable_projection(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, int, str]:
+    """Global sinusoid fit: profile scan, 1-D refinement, Gauss-Newton polish.
+
+    The refinement minimises the exact profile between the best grid
+    point's neighbours.  When that bracket starts at the lowest grid
+    frequency b_lo and the profile there is no worse than the refined
+    point, the constrained optimum lies on the search domain's edge (the
+    b -> 0 limit, where the family degenerates to a quadratic): the exact
+    linear fit at b_lo is returned with stop reason BOUNDARY.
+    """
+    bs = _frequency_grid(x)
+    k = int(np.argmin(_grid_profile(x, y, bs[0], bs.size)))
+    lo, hi = bs[max(k - 1, 0)], bs[min(k + 1, bs.size - 1)]
+    b, sse = _brent_minimize(lambda v: _linear_at(v, x, y)[1], lo, hi)
+    if lo == bs[0]:
+        edge, edge_sse = _linear_at(lo, x, y)
+        if edge_sse <= sse:
+            return edge, edge_sse, 0, BOUNDARY
+    return _damped_gauss_newton(x, y, _linear_at(b, x, y)[0])
+
+
+def fit_nonlinear(data: Dataset, init=None, *, model: ModelSpec | None = None) -> FitResult:
     """Least squares fit of a*sin(b*x + c) + d.
 
-    With ``init`` the solver runs once from that point; otherwise every grid
-    start runs and the lowest SSE (ties broken by start order) wins.  The
-    winning parameters are canonicalized to a > 0, c in (-pi, pi].  If no
-    start converges, NonConvergenceError carries the best result seen.
+    Without ``init`` the fit is global over frequencies b in [b_lo, 8 * 2*pi
+    / span] by variable projection and never raises: a result that did not
+    converge is flagged by its stop reason (BOUNDARY or ITERATION_CAP).
+    With ``init`` Gauss-Newton runs once from that point, and missing
+    tolerance raises NonConvergenceError carrying the best result.  The
+    parameters are canonicalized to b >= 0, a > 0, c in (-pi, pi].
     """
     if model is None:
         model = ModelSpec.sinusoid()
@@ -258,27 +397,17 @@ def fit_nonlinear(data: Dataset, init=None, *, model: ModelSpec | None = None,
     if len(data) < model.n_params:
         raise ValueError(f"sinusoid fits need at least {model.n_params} points, got {len(data)}")
 
-    if init is not None:
-        start_list = [np.asarray(init, dtype=float)]
-        if start_list[0].size != 4:
-            raise ValueError("sinusoid init must have 4 parameters (a, b, c, d)")
-    else:
-        start_list = default_starts(data, starts)
+    if init is None:
+        params, sse, iters, reason = _variable_projection(data.x, data.y)
+        return FitResult(model, canonicalize_sinusoid(params), sse, iters, reason)
 
-    best: tuple[np.ndarray, float, int, bool] | None = None
-    any_converged = False
-    for p0 in start_list:
-        p, sse, iters, converged = _damped_gauss_newton(data.x, data.y, p0)
-        any_converged = any_converged or converged
-        if best is None or sse < best[1]:
-            best = (p, sse, iters, converged)
-
-    params, sse, iters, converged = best
-    result = FitResult(model, canonicalize_sinusoid(params), sse, iters, converged)
-    if not any_converged:
-        raise NonConvergenceError(
-            f"no start met tolerance within {_MAX_ITER} iterations", result
-        )
+    p0 = np.asarray(init, dtype=float)
+    if p0.size != 4:
+        raise ValueError("sinusoid init must have 4 parameters (a, b, c, d)")
+    params, sse, iters, reason = _damped_gauss_newton(data.x, data.y, p0)
+    result = FitResult(model, canonicalize_sinusoid(params), sse, iters, reason)
+    if not result.converged:
+        raise NonConvergenceError(f"no convergence within {_MAX_ITER} iterations", result)
     return result
 
 

@@ -14,16 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hausdorff import reset_horizontal
-from .lsq import (
-    POLYNOMIAL,
-    Dataset,
-    FitResult,
-    ModelSpec,
-    NonConvergenceError,
-    fit_linear,
-    fit_nonlinear,
-    predict,
-)
+from .lsq import Dataset, FitResult, ModelSpec, fit, predict
 
 TRANSITION_AT_TRANSFORMED = "transformed"
 TRANSITION_AT_ORIGINAL = "original"
@@ -55,53 +46,30 @@ class StretchedFit:
         return self.final.predict(x)
 
 
-def _mean_stretch_ratio(x: np.ndarray, xx: np.ndarray) -> float:
-    # Ratio of transformed to original abscissa, averaged over the strictly
-    # positive entries (x = 0 maps to xx = 0 and carries no ratio).
-    positive = x > 0.0
-    if not np.any(positive):
-        return 1.0
-    return float(np.mean(xx[positive] / x[positive]))
-
-
 def stretched_fit(model: ModelSpec, data: Dataset, beta: float,
                   transition_eval: str = TRANSITION_AT_TRANSFORMED) -> StretchedFit:
     """Run the two-stage procedure for one model family and one beta.
 
     ``transition_eval`` selects where the transition curve is evaluated to
     form the stage-3 ordinates: at the transformed abscissas (default) or,
-    for sensitivity experiments, at the original ones.
-
-    Sinusoid stage 3 is warm-started from the transition parameters with the
-    frequency rescaled by the mean ratio of transformed to original
-    abscissas; the multi-start grid is the fallback if that start fails.
+    for sensitivity experiments, at the original ones.  Both stages use the
+    family's global solver, so a sinusoid stage that did not converge comes
+    back flagged by its stop reason rather than raised.
     """
     if transition_eval not in (TRANSITION_AT_TRANSFORMED, TRANSITION_AT_ORIGINAL):
         raise ValueError(f"unknown transition_eval {transition_eval!r}")
     xx = reset_horizontal(data.x, beta)
 
     try:
-        if model.family == POLYNOMIAL:
-            transition = fit_linear(model.degree, Dataset(xx, data.y))
-        else:
-            transition = fit_nonlinear(Dataset(xx, data.y), model=model)
+        transition = fit(model, Dataset(xx, data.y))
     except Exception as exc:
         raise StageFailure("transition", exc) from exc
 
     eval_at = xx if transition_eval == TRANSITION_AT_TRANSFORMED else data.x
     smoothed = predict(model, transition.params, eval_at)
-    stage3 = Dataset(data.x, smoothed)
 
     try:
-        if model.family == POLYNOMIAL:
-            final = fit_linear(model.degree, stage3)
-        else:
-            a, b, c, d = transition.params
-            warm = np.array([a, b * _mean_stretch_ratio(data.x, xx), c, d])
-            try:
-                final = fit_nonlinear(stage3, init=warm, model=model)
-            except NonConvergenceError:
-                final = fit_nonlinear(stage3, model=model)
+        final = fit(model, Dataset(data.x, smoothed))
     except Exception as exc:
         raise StageFailure("final", exc) from exc
 

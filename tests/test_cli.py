@@ -6,7 +6,6 @@ import re
 import numpy as np
 import pytest
 
-import stretchfit.lsq as lsq
 from stretchfit.cli import main
 
 from kstools import ks_crit_two_sample, ks_two_sample
@@ -89,6 +88,7 @@ class TestFit:
         report = json.loads(out.read_text())
         np.testing.assert_allclose(report["params"], [1.0, 1.0, 2.0], atol=1e-8)
         assert report["converged"] is True
+        assert report["stop_reason"] == "closed_form"
         assert report["manifest"]["config"]["method"] == "lsm"
 
     def test_stretched_beta_one_matches_lsm(self, tmp_path, quadratic_csv):
@@ -139,8 +139,8 @@ class TestFit:
                      "--out", str(tmp_path / "f.json")])
         assert code == 4
 
-    def test_nonconvergence_exit_code_and_report(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(lsq, "_MAX_ITER", 1)
+    def test_nonconvergence_exit_code_and_report(self, tmp_path):
+        # These data's best frequency is the search domain's lower end.
         rng = np.random.default_rng(1)
         x = np.linspace(0.0, 1.0, 40)
         y = np.sin(3.0 * x) + rng.normal(0.0, 0.3, 40)
@@ -151,6 +151,7 @@ class TestFit:
         assert code == 3
         report = json.loads(out.read_text())
         assert report["converged"] is False
+        assert report["stop_reason"] == "boundary"
         assert len(report["params"]) == 4
 
     def test_headerless_csv_accepted(self, tmp_path):
@@ -172,6 +173,9 @@ class TestExperiment:
         assert len(report["trials"]) == 10
         wins2 = sum(t["slsm_error2"] < t["lsm_error2"] for t in report["trials"])
         assert report["win_rate_error2"] == wins2 / 10
+        ties2 = sum(abs(t["slsm_error2"] - t["lsm_error2"])
+                    <= 1e-9 * max(t["slsm_error2"], t["lsm_error2"]) for t in report["trials"])
+        assert report["ties_error2"] == ties2
         assert set(report["medians"]) == {"lsm_error1", "lsm_error2",
                                           "slsm_error1", "slsm_error2"}
 
@@ -192,6 +196,10 @@ class TestTables:
         names = sorted(p.name for p in outdir.iterdir())
         assert names == ["figure_poly_b0.4_e30.csv", "manifest.json",
                          "summary_poly_b0.4_e30.csv", "table_poly_b0.4_e30.csv"]
+
+        summary = (outdir / "summary_poly_b0.4_e30.csv").read_text().splitlines()
+        assert summary[0].startswith(
+            "config,repetitions,excluded,win_rate_error1,win_rate_error2,ties_error1,ties_error2,")
 
         table = (outdir / "table_poly_b0.4_e30.csv").read_text().splitlines()
         assert table[0] == "method,a,b,c,error1,error2"
@@ -251,3 +259,31 @@ class TestConfigFile:
         code = main(["tables", "--configs", "poly:b0.4:e30",
                      "--out", str(tmp_path / "t"), "--config", str(cfg)])
         assert code == 2
+
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"reps": "3"}))
+        code = main(["tables", "--configs", "poly:b0.4:e30",
+                     "--out", str(tmp_path / "t"), "--config", str(cfg)])
+        assert code == 2
+        assert "'reps'" in capsys.readouterr().err
+
+    def test_explicit_flag_beats_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"reps": 2, "seed": 3}))
+        outdir = tmp_path / "t"
+        code = main(["tables", "--configs", "poly:b0.4:e30", "--reps", "5",
+                     "--out", str(outdir), "--config", str(cfg)])
+        assert code == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["manifest"]["config"]["reps"] == 5
+        assert manifest["manifest"]["seed"] == 3
+
+    @pytest.mark.parametrize("key", ["func", "command"])
+    def test_internal_config_key_rejected(self, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        code = main(["tables", "--configs", "poly:b0.4:e30",
+                     "--out", str(tmp_path / "t"), "--config", str(cfg)])
+        assert code == 2
+        assert not (tmp_path / "t").exists()

@@ -166,6 +166,15 @@ class TestRunMonteCarlo:
         assert report.win_rate_error1 == wins1 / len(report.trials)
         assert report.win_rate_error2 == wins2 / len(report.trials)
 
+    def test_ties_counted_apart_from_wins(self):
+        # At beta = 1 the two methods coincide up to rounding: every trial
+        # ties, while the strict win rates still count rounding-level gaps.
+        report = run_monte_carlo(grid_config("poly", 1.0, 30.0, seed=0), repetitions=100)
+        assert report.ties_error1 == report.ties_error2 == len(report.trials) == 100
+        wins2 = sum(t.slsm_error2 < t.lsm_error2 for t in report.trials)
+        assert report.win_rate_error2 == wins2 / 100
+        assert run_monte_carlo(poly_config(seed=0), repetitions=20).ties_error2 == 0
+
     def test_prefix_stability_when_doubling(self):
         cfg = poly_config(seed=6)
         short = run_monte_carlo(cfg, repetitions=10)

@@ -1,9 +1,11 @@
-"""Model evaluation, the linear solver, and the damped Gauss-Newton solver."""
+"""Model evaluation, the linear solver, and the variable-projection sinusoid solver."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 
 import stretchfit.lsq as lsq
 from stretchfit import (
@@ -21,6 +23,42 @@ from stretchfit import (
 def sin_curve(params, x):
     a, b, c, d = params
     return a * np.sin(b * x + c) + d
+
+
+def sin_jacobian(params, x):
+    a, b, c, _ = params
+    co = np.cos(b * x + c)
+    return np.column_stack([np.sin(b * x + c), a * x * co, a * co, np.ones_like(x)])
+
+
+def dense_profile_reference(x, y):
+    """Least SSE of a*sin(bx+c)+d, built independently of the package.
+
+    For fixed b the model is linear, so the SSE is a profile in b.  It is
+    scanned at 50 points per 2*pi/span up to 8 periods (batched QR), its
+    three best local minima are polished by MINPACK Levenberg-Marquardt, and
+    the quadratic fit is the b -> 0 limit.
+    """
+    quad, *_ = scipy.linalg.lstsq(np.vander(x, 3), y)
+    best = float(np.sum((np.vander(x, 3) @ quad - y) ** 2))
+    base = 2.0 * math.pi / (x.max() - x.min())
+    bs = base * np.arange(1, 8 * 50 + 1) / 50
+    arg = np.multiply.outer(bs, x)
+    q, _ = np.linalg.qr(np.stack([np.sin(arg), np.cos(arg), np.ones_like(arg)], axis=-1))
+    resid = y - np.einsum("kij,kj->ki", q, np.einsum("kij,i->kj", q, y))
+    profile = np.einsum("ki,ki->k", resid, resid)
+    interior = (profile[1:-1] <= profile[:-2]) & (profile[1:-1] <= profile[2:])
+    minima = np.concatenate([[0], np.flatnonzero(interior) + 1])
+    for i in minima[np.argsort(profile[minima])][:3]:
+        b = bs[i]
+        design = np.column_stack([np.sin(b * x), np.cos(b * x), np.ones_like(x)])
+        (sa, ca, d), *_ = scipy.linalg.lstsq(design, y)
+        start = np.array([math.hypot(sa, ca), b, math.atan2(ca, sa), d])
+        polished = scipy.optimize.least_squares(
+            lambda p: sin_curve(p, x) - y, start, jac=lambda p: sin_jacobian(p, x),
+            method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=200)
+        best = min(best, profile[i], float(polished.fun @ polished.fun))
+    return best
 
 
 class TestModelSpec:
@@ -173,10 +211,12 @@ class TestFitNonlinear:
     def test_canonicalize_preserves_curve(self):
         rng = np.random.default_rng(19)
         x = rng.uniform(-4.0, 4.0, 80)
-        for _ in range(20):
+        for i in range(40):
             p = rng.uniform(-3.0, 3.0, 4)
+            p[1] = -abs(p[1]) if i % 2 else abs(p[1])
             q = canonicalize_sinusoid(p)
             assert q[0] >= 0.0
+            assert q[1] == abs(p[1])
             assert -math.pi < q[2] <= math.pi
             np.testing.assert_allclose(sin_curve(p, x), sin_curve(q, x), atol=1e-10)
 
@@ -215,28 +255,77 @@ class TestFitNonlinear:
         assert a.params.tobytes() == b.params.tobytes()
         assert (a.sse, a.iterations, a.converged) == (b.sse, b.iterations, b.converged)
 
-    def test_starts_prefix_semantics(self):
-        x = np.linspace(0.0, 1.0, 100)
-        y = np.sin(x)
-        data = Dataset(x, y)
-        grid = lsq.default_starts(data)
-        assert len(grid) == 15
-        np.testing.assert_allclose(lsq.default_starts(data, 3), grid[:3])
+    def test_frequency_grid_is_deterministic(self):
+        # 160 frequencies k * base / 20, base = 2*pi / span: up to 8 periods
+        # over the span, fixed by the span alone.
+        x = np.linspace(0.0, 2.0, 100)
+        grid = lsq._frequency_grid(x)
+        base = 2.0 * math.pi / 2.0
+        assert grid.size == 160
+        assert grid[0] == base / 20
+        np.testing.assert_allclose(grid, base / 20 * np.arange(1, 161), rtol=1e-15)
+        np.testing.assert_allclose(grid[-1], 8 * base, rtol=1e-15)
+        assert lsq._frequency_grid(x + 3.0).tobytes() == grid.tobytes()
+        assert lsq._frequency_grid(x[::-1]).tobytes() == grid.tobytes()
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             fit_nonlinear(Dataset([0.0, 1.0, 2.0], [0.1, 0.2, 0.3]))
 
     def test_nonconvergence_carries_best(self, monkeypatch):
+        # A run from a caller's start that misses tolerance raises, carrying
+        # its best iterate, which is never worse than the start.
         monkeypatch.setattr(lsq, "_MAX_ITER", 1)
         rng = np.random.default_rng(37)
         x = np.linspace(0.0, 1.0, 50)
         y = np.sin(3.0 * x) + rng.normal(0.0, 0.4, x.size)
+        init = np.array([0.5, 1.0, 0.0, 0.0])
         with pytest.raises(NonConvergenceError) as info:
-            fit_nonlinear(Dataset(x, y))
+            fit_nonlinear(Dataset(x, y), init=init)
         best = info.value.best
         assert best.converged is False
-        assert best.sse >= 0.0 and best.params.shape == (4,)
+        assert best.stop_reason == "iteration_cap"
+        assert best.params.shape == (4,)
+        start = sin_curve(init, x) - y
+        assert 0.0 <= best.sse <= start @ start
+
+    def test_boundary_optimum_is_flagged(self):
+        # On [0, 1] the noisy sin(x) profile often falls toward b -> 0, where
+        # the family degenerates to a quadratic: the fit stops on the lowest
+        # grid frequency, exactly solved there, and says so.
+        x = np.linspace(0.0, 1.0, 200)
+        y = np.sin(x) + np.random.default_rng(0).normal(0.0, 0.3, x.size)
+        fit = fit_nonlinear(Dataset(x, y))
+        assert fit.stop_reason == "boundary"
+        assert fit.converged is False
+        assert fit.params[1] == 2.0 * math.pi / 20
+        r = sin_curve(fit.params, x) - y
+        assert fit.sse == pytest.approx(r @ r, rel=1e-12)
+        quad = np.polyval(np.polyfit(x, y, 2), x) - y
+        tss = float(np.sum((y - y.mean()) ** 2))
+        assert quad @ quad <= fit.sse <= quad @ quad + 1e-3 * tss
+
+    def test_global_optimum_against_dense_profile(self):
+        # Every fit not stopped at the boundary is at least as good as an
+        # independent reference: a dense profile in b, MINPACK polish of its
+        # three best basins, and the quadratic b -> 0 limit.
+        rng = np.random.default_rng(41)
+        checked = 0
+        for _ in range(60):
+            n = int(rng.integers(20, 300))
+            lo = rng.uniform(0.0, 2.0)
+            x = np.sort(rng.uniform(lo, lo + rng.uniform(0.5, 5.0), n))
+            base = 2.0 * math.pi / (x[-1] - x[0])
+            truth = (rng.uniform(0.2, 3.0), base * rng.uniform(0.1, 7.5),
+                     rng.uniform(-math.pi, math.pi), rng.uniform(-2.0, 2.0))
+            y = sin_curve(truth, x) + rng.normal(0.0, rng.uniform(0.0, 1.5), n)
+            fit = fit_nonlinear(Dataset(x, y))
+            if fit.stop_reason == "boundary":
+                continue
+            checked += 1
+            assert fit.converged
+            assert fit.sse <= (1.0 + 1e-9) * dense_profile_reference(x, y)
+        assert checked >= 50
 
 
 class TestFitDispatch:
