@@ -44,7 +44,6 @@ from .lsq import (
     Dataset,
     FitResult,
     ModelSpec,
-    NonConvergenceError,
     SingularFitError,
     canonicalize_sinusoid,
     fit,
@@ -74,7 +73,6 @@ __all__ = [
     "Dataset",
     "FitResult",
     "ModelSpec",
-    "NonConvergenceError",
     "SingularFitError",
     "canonicalize_sinusoid",
     "fit",

@@ -189,7 +189,7 @@ def cmd_fit(args) -> int:
                 "final": _fit_dict(sf.final),
             },
         }
-        if not (sf.transition.converged and sf.final.converged):
+        if not sf.converged:
             code = EXIT_NONCONVERGED
 
     _write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -220,7 +220,7 @@ def _report_dict(token: str, report) -> dict:
                 "slsm_error1": t.slsm_error1,
                 "slsm_error2": t.slsm_error2,
                 "lsm_converged": bool(t.lsm_fit.converged),
-                "slsm_converged": bool(t.slsm_fit.final.converged),
+                "slsm_converged": bool(t.slsm_fit.converged),
             }
             for t in report.trials
         ],
@@ -260,7 +260,7 @@ def _representative_trial(report):
 
 
 def _table_rows(cfg: TrialConfig, trial) -> tuple[list[str], list[list]]:
-    sin = cfg.regression.family == "sinusoid"
+    sin = cfg.truth_model.family == "sinusoid"
     header = ["method", "a", "b", "c"] + (["d"] if sin else []) + ["error1", "error2"]
     rows = [
         ["f", *[float(v) for v in cfg.truth_params], 0.0, 0.0],

@@ -32,9 +32,6 @@ from .lsq import (
 )
 from .stretched import StageFailure, StretchedFit, stretched_fit
 
-EQUAL_SPACING = "equal"
-UNIFORM_SPACING = "uniform"
-
 # Error families that mark a trial failed (excluded from win rates) rather
 # than aborting the whole Monte Carlo run.  A fit that did not converge is
 # not among them: it is kept and flagged by its stop reason.
@@ -57,24 +54,22 @@ class TrialConfig:
 
     truth_model: ModelSpec
     truth_params: np.ndarray
-    regression: ModelSpec
     noise_law: StretchedGaussian
     eta: float
     beta: float
     seed: int
     n: int = 200
     x_domain: tuple[float, float] = (0.0, 1.0)
-    x_spacing: str = EQUAL_SPACING
 
     def __post_init__(self) -> None:
         params = np.asarray(self.truth_params, dtype=float)
         if params.size != self.truth_model.n_params:
             raise ValueError("truth parameter count does not match the truth model")
         object.__setattr__(self, "truth_params", params)
-        if self.n < self.regression.n_params:
+        if self.n < self.truth_model.n_params:
             raise ValueError(
-                f"n = {self.n} is below the regression parameter count "
-                f"{self.regression.n_params}"
+                f"n = {self.n} is below the model's parameter count "
+                f"{self.truth_model.n_params}"
             )
         if self.eta < 0.0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
@@ -83,8 +78,6 @@ class TrialConfig:
         lo, hi = self.x_domain
         if lo < 0.0 or hi <= lo:
             raise ValueError(f"x_domain must be a nonnegative interval, got {self.x_domain}")
-        if self.x_spacing not in (EQUAL_SPACING, UNIFORM_SPACING):
-            raise ValueError(f"unknown x_spacing {self.x_spacing!r}")
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must fit an unsigned 64-bit integer")
 
@@ -137,16 +130,12 @@ def trial_rng(base_seed: int, trial_index: int) -> np.random.Generator:
 
 
 def make_noisy_dataset(cfg: TrialConfig, rng: np.random.Generator) -> Dataset:
-    """Sample abscissas, add standardized stretched Gaussian noise * eta/100.
+    """Equally spaced abscissas plus standardized stretched Gaussian noise * eta/100.
 
-    Equal spacing includes both domain endpoints.  With eta = 0 the
+    The abscissas include both domain endpoints.  With eta = 0 the
     ordinates are exact and no noise is drawn.
     """
-    lo, hi = cfg.x_domain
-    if cfg.x_spacing == EQUAL_SPACING:
-        x = np.linspace(lo, hi, cfg.n)
-    else:
-        x = np.sort(rng.uniform(lo, hi, cfg.n))
+    x = np.linspace(*cfg.x_domain, cfg.n)
     y = predict(cfg.truth_model, cfg.truth_params, x)
     if cfg.eta > 0.0:
         raw = standardize(sample_rejection(cfg.noise_law, rng, cfg.n))
@@ -177,8 +166,8 @@ def run_trial(cfg: TrialConfig, trial_index: int = 0) -> TrialReport:
     data = make_noisy_dataset(cfg, rng)
     truth = cfg.truth_function()
 
-    lsm = fit(cfg.regression, data)
-    slsm = stretched_fit(cfg.regression, data, cfg.beta)
+    lsm = fit(cfg.truth_model, data)
+    slsm = stretched_fit(cfg.truth_model, data, cfg.beta)
 
     return TrialReport(
         lsm_error1=error1(lsm.predict, truth, data.x),
@@ -289,7 +278,6 @@ def grid_config(family: str, beta: float, eta: float, seed: int,
     return TrialConfig(
         truth_model=truth_model,
         truth_params=np.asarray(truth_params),
-        regression=truth_model,
         noise_law=law,
         eta=eta,
         beta=beta,

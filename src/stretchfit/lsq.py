@@ -5,9 +5,9 @@ of the Vandermonde design matrix.  Sinusoids a*sin(b*x + c) + d go through
 variable projection: for a fixed frequency b the model is linear in
 (A, B, d) with A sin(bx) + B cos(bx) + d, so the SSE is a one-dimensional
 profile in b (Golub & Pereyra 1973).  The profile is scanned on a fixed
-frequency grid, refined between the best grid point's neighbours, and the
-optimum is polished by a damped Gauss-Newton iteration with analytic
-Jacobian.
+frequency grid and minimised by Brent's method between the best grid
+point's neighbours; the coefficients at that frequency are exact, so the
+fit needs no further polish.
 """
 
 from __future__ import annotations
@@ -20,29 +20,17 @@ import numpy as np
 POLYNOMIAL = "polynomial"
 SINUSOID = "sinusoid"
 
-# Why a fit stopped.  A closed-form solve, the tolerance test and a
-# saturated damping (no representable step lowers the SSE) count as
-# converged; the iteration cap and the frequency boundary do not.
+# Why a fit stopped.  A closed-form solve and Brent's tolerance test count
+# as converged; an optimum on an edge of the frequency domain does not.
 CLOSED_FORM = "closed_form"
 TOLERANCE = "tolerance"
-DAMPING_SATURATED = "damping_saturated"
-ITERATION_CAP = "iteration_cap"
 BOUNDARY = "boundary"
-STOP_REASONS = (CLOSED_FORM, TOLERANCE, DAMPING_SATURATED, ITERATION_CAP, BOUNDARY)
-_CONVERGED = (CLOSED_FORM, TOLERANCE, DAMPING_SATURATED)
-
-# Damped Gauss-Newton controls: multiplicative damping, relative SSE change /
-# step-size termination, hard iteration cap.
-_DAMPING_INIT = 1e-3
-_DAMPING_UP = 10.0
-_DAMPING_DOWN = 10.0
-_SSE_REL_TOL = 1e-12
-_STEP_TOL = 1e-10
-_MAX_ITER = 200
+STOP_REASONS = (CLOSED_FORM, TOLERANCE, BOUNDARY)
 
 # Frequency grid of the profile scan: k * base / _GRID_DENSITY for
 # k = 1.._GRID_POINTS, base = 2*pi / abscissa span, so up to 8 periods over
-# the span.  The first grid frequency is the lower end of the search domain.
+# the span.  The first and last grid frequencies are the ends of the search
+# domain.
 _GRID_DENSITY = 20
 _GRID_POINTS = 160
 # Largest (frequencies x points) block of one vectorised profile pass, which
@@ -54,15 +42,9 @@ class SingularFitError(RuntimeError):
     """The linear design matrix is rank deficient."""
 
 
+# No solver raises this any more; perfbench/tracing.py still binds the name.
 class NonConvergenceError(RuntimeError):
-    """A Gauss-Newton run from a caller's start missed tolerance.
-
-    Carries the lowest-SSE result seen so far in ``best``.
-    """
-
-    def __init__(self, message: str, best: "FitResult"):
-        super().__init__(message)
-        self.best = best
+    """A fit missed its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -142,8 +124,8 @@ class FitResult:
 
     @property
     def converged(self) -> bool:
-        """True unless the solver stopped at its iteration cap or at the boundary."""
-        return self.stop_reason in _CONVERGED
+        """True unless the optimum lies on an edge of the frequency domain."""
+        return self.stop_reason != BOUNDARY
 
     def predict(self, x) -> np.ndarray:
         return predict(self.model, self.params, x)
@@ -193,52 +175,6 @@ def fit_linear(degree: int, data: Dataset) -> FitResult:
     return FitResult(model, coeffs, float(residual @ residual), 0, CLOSED_FORM)
 
 
-def _sinusoid_residual_jacobian(params: np.ndarray, x: np.ndarray, y: np.ndarray):
-    a, b, c, _ = params
-    arg = b * x + c
-    s, co = np.sin(arg), np.cos(arg)
-    r = params[0] * s + params[3] - y
-    jac = np.column_stack([s, a * x * co, a * co, np.ones_like(x)])
-    return r, jac
-
-
-def _damped_gauss_newton(x: np.ndarray, y: np.ndarray, p0) -> tuple[np.ndarray, float, int, str]:
-    """One solver run from one start; returns (params, sse, iterations, stop_reason)."""
-    p = np.asarray(p0, dtype=float).copy()
-    r, jac = _sinusoid_residual_jacobian(p, x, y)
-    sse = float(r @ r)
-    lam = _DAMPING_INIT
-    eye = np.eye(4)
-    for it in range(1, _MAX_ITER + 1):
-        grad = jac.T @ r
-        hess = jac.T @ jac
-        try:
-            step = np.linalg.solve(hess + lam * eye, -grad)
-        except np.linalg.LinAlgError:
-            lam *= _DAMPING_UP
-            continue
-        candidate = p + step
-        r_new, jac_new = _sinusoid_residual_jacobian(candidate, x, y)
-        sse_new = float(r_new @ r_new)
-        if not math.isfinite(sse_new):
-            sse_new = math.inf
-        # A step that moves the SSE by less than the tolerance either way ends
-        # the run: at the optimum, rounding decides the sign of the change.
-        settled = (abs(sse - sse_new) <= _SSE_REL_TOL * sse
-                   or float(np.max(np.abs(step))) < _STEP_TOL)
-        if sse_new <= sse:
-            p, r, jac, sse = candidate, r_new, jac_new, sse_new
-            lam = max(lam / _DAMPING_DOWN, 1e-15)
-        else:
-            lam *= _DAMPING_UP
-        if settled:
-            return p, sse, it, TOLERANCE
-        if lam > 1e15:
-            # Steps this damped are numerically zero: stationary point.
-            return p, sse, it, DAMPING_SATURATED
-    return p, sse, _MAX_ITER, ITERATION_CAP
-
-
 def canonicalize_sinusoid(params) -> np.ndarray:
     """Resolve the sign symmetries of a*sin(b*x + c) + d: b >= 0, a > 0, c in (-pi, pi].
 
@@ -258,7 +194,7 @@ def canonicalize_sinusoid(params) -> np.ndarray:
 
 
 def _frequency_grid(x: np.ndarray) -> np.ndarray:
-    """The profile scan's frequencies; the first is the search domain's lower end."""
+    """The profile scan's frequencies; the first and last are the search domain's ends."""
     span = float(x.max() - x.min())
     if span <= 0.0:
         raise ValueError("abscissas must span a positive interval")
@@ -306,23 +242,25 @@ def _linear_at(b: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, floa
     return params, float(r @ r)
 
 
-def _brent_minimize(f, lo: float, hi: float) -> tuple[float, float]:
+def _brent_minimize(f, lo: float, hi: float) -> tuple[float, float, int]:
     """Minimise f on [lo, hi], lo > 0, to a relative precision of sqrt(eps).
 
     Brent's method (golden section with parabolic steps), as in fmin of
-    Forsythe, Malcolm & Moler (1977); returns (x, f(x)) of the best point.
+    Forsythe, Malcolm & Moler (1977); returns (x, f(x)) of the best point
+    and the number of evaluations of f.
     """
     golden = (3.0 - math.sqrt(5.0)) / 2.0
     rel = math.sqrt(np.finfo(float).eps)
     x = w = v = lo + golden * (hi - lo)
     fx = fw = fv = f(x)
+    evaluations = 1
     d = e = 0.0
     while True:
         mid = 0.5 * (lo + hi)
         tol1 = rel * abs(x)
         tol2 = 2.0 * tol1
         if abs(x - mid) <= tol2 - 0.5 * (hi - lo):
-            return x, fx
+            return x, fx, evaluations
         parabolic = False
         if abs(e) > tol1:
             r = (x - w) * (fx - fv)
@@ -342,6 +280,7 @@ def _brent_minimize(f, lo: float, hi: float) -> tuple[float, float]:
             d = golden * e
         u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
         fu = f(u)
+        evaluations += 1
         if fu <= fx:
             if u < x:
                 hi = x
@@ -360,59 +299,46 @@ def _brent_minimize(f, lo: float, hi: float) -> tuple[float, float]:
 
 
 def _variable_projection(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, int, str]:
-    """Global sinusoid fit: profile scan, 1-D refinement, Gauss-Newton polish.
+    """Global sinusoid fit: profile scan, then Brent on the exact profile.
 
     The refinement minimises the exact profile between the best grid
-    point's neighbours.  When that bracket starts at the lowest grid
-    frequency b_lo and the profile there is no worse than the refined
-    point, the constrained optimum lies on the search domain's edge (the
-    b -> 0 limit, where the family degenerates to a quadratic): the exact
-    linear fit at b_lo is returned with stop reason BOUNDARY.
+    point's neighbours; returns (params, sse, profile evaluations, stop
+    reason).  When that bracket touches the lowest or the highest grid
+    frequency and the profile there is no worse than the refined point, the
+    constrained optimum lies on the search domain's edge (at the low end,
+    the b -> 0 limit where the family degenerates to a quadratic): the exact
+    linear fit at that edge is returned with stop reason BOUNDARY.
     """
     bs = _frequency_grid(x)
     k = int(np.argmin(_grid_profile(x, y, bs[0], bs.size)))
     lo, hi = bs[max(k - 1, 0)], bs[min(k + 1, bs.size - 1)]
-    b, sse = _brent_minimize(lambda v: _linear_at(v, x, y)[1], lo, hi)
-    if lo == bs[0]:
-        edge, edge_sse = _linear_at(lo, x, y)
-        if edge_sse <= sse:
-            return edge, edge_sse, 0, BOUNDARY
-    return _damped_gauss_newton(x, y, _linear_at(b, x, y)[0])
+    b, sse, evaluations = _brent_minimize(lambda v: _linear_at(v, x, y)[1], lo, hi)
+    for edge in (lo, hi):
+        if edge in (bs[0], bs[-1]):
+            params, edge_sse = _linear_at(edge, x, y)
+            if edge_sse <= sse:
+                return params, edge_sse, evaluations, BOUNDARY
+    params, sse = _linear_at(b, x, y)
+    return params, sse, evaluations, TOLERANCE
 
 
-def fit_nonlinear(data: Dataset, init=None, *, model: ModelSpec | None = None) -> FitResult:
+def fit_nonlinear(data: Dataset) -> FitResult:
     """Least squares fit of a*sin(b*x + c) + d.
 
-    Without ``init`` the fit is global over frequencies b in [b_lo, 8 * 2*pi
-    / span] by variable projection and never raises: a result that did not
-    converge is flagged by its stop reason (BOUNDARY or ITERATION_CAP).
-    With ``init`` Gauss-Newton runs once from that point, and missing
-    tolerance raises NonConvergenceError carrying the best result.  The
+    The fit is global over frequencies b in [b_lo, 8 * 2*pi / span] by
+    variable projection.  An optimum on an edge of that domain is not
+    raised but flagged by stop reason BOUNDARY.  The
     parameters are canonicalized to b >= 0, a > 0, c in (-pi, pi].
     """
-    if model is None:
-        model = ModelSpec.sinusoid()
-    if model.family != SINUSOID:
-        raise ValueError("fit_nonlinear only supports the sinusoid family")
+    model = ModelSpec.sinusoid()
     if len(data) < model.n_params:
         raise ValueError(f"sinusoid fits need at least {model.n_params} points, got {len(data)}")
-
-    if init is None:
-        params, sse, iters, reason = _variable_projection(data.x, data.y)
-        return FitResult(model, canonicalize_sinusoid(params), sse, iters, reason)
-
-    p0 = np.asarray(init, dtype=float)
-    if p0.size != 4:
-        raise ValueError("sinusoid init must have 4 parameters (a, b, c, d)")
-    params, sse, iters, reason = _damped_gauss_newton(data.x, data.y, p0)
-    result = FitResult(model, canonicalize_sinusoid(params), sse, iters, reason)
-    if not result.converged:
-        raise NonConvergenceError(f"no convergence within {_MAX_ITER} iterations", result)
-    return result
+    params, sse, iters, reason = _variable_projection(data.x, data.y)
+    return FitResult(model, canonicalize_sinusoid(params), sse, iters, reason)
 
 
-def fit(model: ModelSpec, data: Dataset, init=None) -> FitResult:
+def fit(model: ModelSpec, data: Dataset) -> FitResult:
     """Dispatch to the family's solver."""
     if model.family == POLYNOMIAL:
         return fit_linear(model.degree, data)
-    return fit_nonlinear(data, init, model=model)
+    return fit_nonlinear(data)

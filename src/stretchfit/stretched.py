@@ -16,9 +16,6 @@ import numpy as np
 from .hausdorff import reset_horizontal
 from .lsq import Dataset, FitResult, ModelSpec, fit, predict
 
-TRANSITION_AT_TRANSFORMED = "transformed"
-TRANSITION_AT_ORIGINAL = "original"
-
 
 class StageFailure(RuntimeError):
     """A least squares stage of the two-stage procedure failed."""
@@ -42,22 +39,21 @@ class StretchedFit:
         if self.transition.model != self.final.model:
             raise ValueError("both stages must use the same model family")
 
+    @property
+    def converged(self) -> bool:
+        """True when both stages converged."""
+        return self.transition.converged and self.final.converged
+
     def predict(self, x) -> np.ndarray:
         return self.final.predict(x)
 
 
-def stretched_fit(model: ModelSpec, data: Dataset, beta: float,
-                  transition_eval: str = TRANSITION_AT_TRANSFORMED) -> StretchedFit:
+def stretched_fit(model: ModelSpec, data: Dataset, beta: float) -> StretchedFit:
     """Run the two-stage procedure for one model family and one beta.
 
-    ``transition_eval`` selects where the transition curve is evaluated to
-    form the stage-3 ordinates: at the transformed abscissas (default) or,
-    for sensitivity experiments, at the original ones.  Both stages use the
-    family's global solver, so a sinusoid stage that did not converge comes
-    back flagged by its stop reason rather than raised.
+    Both stages use the family's global solver, so a sinusoid stage that did
+    not converge comes back flagged by its stop reason rather than raised.
     """
-    if transition_eval not in (TRANSITION_AT_TRANSFORMED, TRANSITION_AT_ORIGINAL):
-        raise ValueError(f"unknown transition_eval {transition_eval!r}")
     xx = reset_horizontal(data.x, beta)
 
     try:
@@ -65,8 +61,7 @@ def stretched_fit(model: ModelSpec, data: Dataset, beta: float,
     except Exception as exc:
         raise StageFailure("transition", exc) from exc
 
-    eval_at = xx if transition_eval == TRANSITION_AT_TRANSFORMED else data.x
-    smoothed = predict(model, transition.params, eval_at)
+    smoothed = predict(model, transition.params, xx)
 
     try:
         final = fit(model, Dataset(data.x, smoothed))

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from stretchfit import grid_config, run_trial
 from stretchfit.cli import main
 
 from kstools import ks_crit_two_sample, ks_two_sample
@@ -178,6 +179,20 @@ class TestExperiment:
         assert report["ties_error2"] == ties2
         assert set(report["medians"]) == {"lsm_error1", "lsm_error2",
                                           "slsm_error1", "slsm_error2"}
+
+    def test_stretched_converged_covers_both_stages(self, tmp_path):
+        # Trial 9 of sin:b0.4:e50 at seed 6 (a row of acceptance criterion 6):
+        # the transition stage stops on the frequency boundary while the
+        # final stage converges, so the stretched fit is not converged.
+        stages = run_trial(grid_config("sin", 0.4, 50.0, seed=6), 9).slsm_fit
+        assert (stages.transition.stop_reason, stages.final.stop_reason) == ("boundary", "tolerance")
+        out = tmp_path / "report.json"
+        code = main(["experiment", "--model", "sin", "--beta", "0.4", "--eta", "50",
+                     "--reps", "10", "--seed", "6", "--out", str(out)])
+        assert code == 0
+        trial = json.loads(out.read_text())["trials"][9]
+        assert trial["trial"] == 9
+        assert trial["slsm_converged"] is False
 
     def test_round_trips(self, tmp_path):
         out = tmp_path / "report.json"

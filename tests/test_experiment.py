@@ -8,9 +8,6 @@ import pytest
 import stretchfit.experiment as experiment
 from stretchfit import (
     SingularFitError,
-    StretchedGaussian,
-    TrialConfig,
-    ModelSpec,
     grid_config,
     error1,
     error2,
@@ -58,18 +55,6 @@ class TestMakeNoisyDataset:
             a = make_noisy_dataset(cfg, trial_rng(k, 0))
             b = make_noisy_dataset(cfg, trial_rng(k + 1, 0))
             assert not np.array_equal(a.y, b.y)
-
-    def test_uniform_spacing_option(self):
-        cfg = TrialConfig(
-            truth_model=ModelSpec.polynomial(2),
-            truth_params=np.array([1.0, 1.0, 2.0]),
-            regression=ModelSpec.polynomial(2),
-            noise_law=StretchedGaussian(1.0, 0.4, 0.25, 1.0),
-            eta=30.0, beta=0.4, seed=0, x_spacing="uniform",
-        )
-        data = make_noisy_dataset(cfg, trial_rng(0, 0))
-        assert np.all(np.diff(data.x) >= 0.0)
-        assert not np.allclose(np.diff(data.x), np.diff(data.x)[0])
 
 
 class TestErrorMetrics:

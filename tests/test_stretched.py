@@ -1,10 +1,10 @@
-"""Two-stage procedure: equivalences, stage contracts, and the flag for
-where the transition curve is evaluated."""
+"""Two-stage procedure: equivalences, stage contracts, and where the
+transition curve is evaluated."""
 
 import numpy as np
 import pytest
 
-import stretchfit.lsq as lsq
+import stretchfit.stretched as stretched
 from stretchfit import (
     Dataset,
     ModelSpec,
@@ -13,7 +13,6 @@ from stretchfit import (
     predict,
     stretched_fit,
 )
-from stretchfit.stretched import TRANSITION_AT_ORIGINAL
 
 
 def noisy_quadratic(seed: int, n: int = 120) -> Dataset:
@@ -74,7 +73,10 @@ class TestStageContracts:
         xx = x + x**0.4
         smoothed = predict(result.transition.model, result.transition.params, xx)
         for fit, xs, ys in ((result.transition, xx, y), (result.final, x, smoothed)):
-            r, jac = lsq._sinusoid_residual_jacobian(fit.params, xs, ys)
+            a, b, c, _ = fit.params
+            r = predict(fit.model, fit.params, xs) - ys
+            co = np.cos(b * xs + c)
+            jac = np.column_stack([np.sin(b * xs + c), a * xs * co, a * co, np.ones_like(xs)])
             assert np.max(np.abs(jac.T @ r)) <= 1e-6 * (1.0 + fit.sse)
 
     def test_deterministic(self):
@@ -104,26 +106,17 @@ class TestStageContracts:
 
 
 class TestTransitionEvaluationFlag:
-    def test_original_abscissa_variant_collapses_to_transition(self):
-        # Evaluating the transition polynomial at the original abscissas makes
-        # stage 3 an exact refit of a polynomial, so final == transition.
+    def test_original_abscissa_variant_collapses_to_transition(self, monkeypatch):
+        # Evaluating the transition polynomial at the original abscissas
+        # would make stage 3 an exact refit of a polynomial, so final ==
+        # transition; the method evaluates it at the transformed ones.
         data = noisy_quadratic(11)
-        result = stretched_fit(ModelSpec.polynomial(2), data, 0.4,
-                               transition_eval=TRANSITION_AT_ORIGINAL)
-        np.testing.assert_allclose(
-            result.final.params, result.transition.params, rtol=1e-9)
-
-    def test_default_variant_differs_from_original_variant(self):
-        data = noisy_quadratic(12)
         default = stretched_fit(ModelSpec.polynomial(2), data, 0.4)
-        alt = stretched_fit(ModelSpec.polynomial(2), data, 0.4,
-                            transition_eval=TRANSITION_AT_ORIGINAL)
+        monkeypatch.setattr(stretched, "predict",
+                            lambda model, params, x: predict(model, params, data.x))
+        alt = stretched_fit(ModelSpec.polynomial(2), data, 0.4)
+        np.testing.assert_allclose(alt.final.params, alt.transition.params, rtol=1e-9)
         assert not np.allclose(default.final.params, alt.final.params)
-
-    def test_unknown_variant_rejected(self):
-        data = noisy_quadratic(13)
-        with pytest.raises(ValueError):
-            stretched_fit(ModelSpec.polynomial(2), data, 0.4, transition_eval="elsewhere")
 
 
 class TestNoiselessFloor:
