@@ -111,11 +111,17 @@ class TestTransitionEvaluationFlag:
         # would make stage 3 an exact refit of a polynomial, so final ==
         # transition; the method evaluates it at the transformed ones.
         data = noisy_quadratic(11)
-        default = stretched_fit(ModelSpec.polynomial(2), data, 0.4)
         monkeypatch.setattr(stretched, "predict",
                             lambda model, params, x: predict(model, params, data.x))
         alt = stretched_fit(ModelSpec.polynomial(2), data, 0.4)
         np.testing.assert_allclose(alt.final.params, alt.transition.params, rtol=1e-9)
+
+    def test_default_variant_differs_from_original_variant(self, monkeypatch):
+        data = noisy_quadratic(12)
+        default = stretched_fit(ModelSpec.polynomial(2), data, 0.4)
+        monkeypatch.setattr(stretched, "predict",
+                            lambda model, params, x: predict(model, params, data.x))
+        alt = stretched_fit(ModelSpec.polynomial(2), data, 0.4)
         assert not np.allclose(default.final.params, alt.final.params)
 
 
