@@ -205,6 +205,8 @@ def run_monte_carlo(cfg: TrialConfig, repetitions: int, threads: int = 1) -> Exp
     """
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
 
     def one(i: int):
         try:

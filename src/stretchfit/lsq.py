@@ -6,12 +6,15 @@ variable projection: for a fixed frequency b the model is linear in
 (A, B, d) with A sin(bx) + B cos(bx) + d, so the SSE is a one-dimensional
 profile in b (Golub & Pereyra 1973).  The profile is scanned on a fixed
 frequency grid and minimised by Brent's method between the best grid
-point's neighbours; the coefficients at that frequency are exact, so the
-fit needs no further polish.
+point's neighbours, both through the closed form of the centered 2x2
+normal equations; the exact linear fit at Brent's optimum is the result,
+so the fit needs no further polish.  The scan's sin/cos table depends on
+the abscissas alone and is cached for fits on equal abscissas.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +39,10 @@ _GRID_POINTS = 160
 # Largest (frequencies x points) block of one vectorised profile pass, which
 # bounds its memory on long data sets.
 _GRID_BLOCK = 1 << 16
+# Scan tables kept for reuse by fits on equal abscissas: at most one block
+# each (1 MiB of sin/cos columns), enough for a trial's x and the stretched
+# abscissas of both grid betas.
+_SCAN_CACHE_SIZE = 4
 
 
 class SingularFitError(RuntimeError):
@@ -202,34 +209,79 @@ def _frequency_grid(x: np.ndarray) -> np.ndarray:
     return base / _GRID_DENSITY * np.arange(1, _GRID_POINTS + 1)
 
 
-def _grid_profile(x: np.ndarray, y: np.ndarray, unit: float, count: int) -> np.ndarray:
-    """Profile SSE at the frequencies k * unit, k = 1..count, for ranking them.
+def _profile_from_gram(tss, ss, cc, sc, det, sy, cy):
+    """Profile SSE from the Gram entries of the centered sin and cos columns.
 
-    One vectorised (frequencies x n) pass per block: exp(i k unit x) comes
-    from a running product over k (about k ulps of error, ample for a
-    ranking), centering removes the offset column, and the 2x2 normal
-    equations of the centered sin and cos columns give the explained sum of
-    squares.  Frequencies whose columns are degenerate get +inf.
+    tss minus the explained sum of squares of the 2x2 normal equations
+    (determinant det = ss*cc - sc*sc, right-hand sides sy and cy against the
+    centered ordinates); degenerate columns give +inf.
     """
-    yc = y - y.mean()
-    tss = float(yc @ yc)
-    step = np.exp(1j * unit * x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = tss - (cc * sy * sy - 2.0 * sc * sy * cy + ss * cy * cy) / det
+    return np.where(np.isfinite(out), out, np.inf)
+
+
+def _scan_blocks(x: np.ndarray):
+    """Centered sin/cos columns of the grid frequencies and their Gram entries, by blocks.
+
+    Yields (s, c, ss, cc, sc, det) per block of at most _GRID_BLOCK cells.
+    exp(i b_k x) comes from a running product over k (about k ulps of
+    error, ample for a ranking), and centering removes the offset column.
+    """
+    bs = _frequency_grid(x)
+    step = np.exp(1j * bs[0] * x)
     phase = np.ones_like(step)
     rows = max(1, _GRID_BLOCK // x.size)
-    out = np.empty(count)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, count, rows):
-            z = phase * np.cumprod(np.broadcast_to(step, (min(rows, count - lo), x.size)), axis=0)
-            phase = z[-1]
-            s = z.imag - z.imag.mean(axis=1, keepdims=True)
-            c = z.real - z.real.mean(axis=1, keepdims=True)
-            ss = np.einsum("ij,ij->i", s, s)
-            cc = np.einsum("ij,ij->i", c, c)
-            sc = np.einsum("ij,ij->i", s, c)
-            sy, cy = s @ yc, c @ yc
-            explained = (cc * sy * sy - 2.0 * sc * sy * cy + ss * cy * cy) / (ss * cc - sc * sc)
-            out[lo:lo + z.shape[0]] = tss - explained
-    return np.where(np.isfinite(out), out, np.inf)
+    for lo in range(0, bs.size, rows):
+        z = phase * np.cumprod(np.broadcast_to(step, (min(rows, bs.size - lo), x.size)), axis=0)
+        phase = z[-1]
+        s = z.imag - z.imag.mean(axis=1, keepdims=True)
+        c = z.real - z.real.mean(axis=1, keepdims=True)
+        ss = np.einsum("ij,ij->i", s, s)
+        cc = np.einsum("ij,ij->i", c, c)
+        sc = np.einsum("ij,ij->i", s, c)
+        yield s, c, ss, cc, sc, ss * cc - sc * sc
+
+
+@functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
+def _scan_table(key: bytes) -> tuple[np.ndarray, ...]:
+    """The one-block scan table of the abscissas whose float64 bytes are ``key``.
+
+    Trials rebuild equal abscissa vectors as new arrays, so the cache is
+    keyed on their bytes; the arrays are shared and read-only.
+    """
+    table = next(_scan_blocks(np.frombuffer(key)))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _grid_profile(x: np.ndarray, yc: np.ndarray, tss: float) -> np.ndarray:
+    """Profile SSE at the grid frequencies, for ranking them.
+
+    ``yc`` are the centered ordinates and ``tss`` their sum of squares.
+    Abscissas whose table fits one block reuse it from _scan_table; longer
+    ones are scanned block by block, uncached, to bound memory.
+    """
+    if x.size * _GRID_POINTS <= _GRID_BLOCK:
+        blocks = [_scan_table(x.tobytes())]
+    else:
+        blocks = _scan_blocks(x)
+    return np.concatenate([
+        _profile_from_gram(tss, ss, cc, sc, det, s @ yc, c @ yc)
+        for s, c, ss, cc, sc, det in blocks
+    ])
+
+
+def _profile_at(b: float, x: np.ndarray, yc: np.ndarray, tss: float) -> float:
+    """The scan's closed form at one frequency: its profile SSE, +inf if degenerate."""
+    bx = b * x
+    s = np.sin(bx)
+    c = np.cos(bx)
+    s -= s.mean()
+    c -= c.mean()
+    ss, cc, sc = s @ s, c @ c, s @ c
+    return float(_profile_from_gram(tss, ss, cc, sc, ss * cc - sc * sc, s @ yc, c @ yc))
 
 
 def _linear_at(b: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -299,26 +351,29 @@ def _brent_minimize(f, lo: float, hi: float) -> tuple[float, float, int]:
 
 
 def _variable_projection(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, int, str]:
-    """Global sinusoid fit: profile scan, then Brent on the exact profile.
+    """Global sinusoid fit: profile scan, then Brent on the closed-form profile.
 
-    The refinement minimises the exact profile between the best grid
-    point's neighbours; returns (params, sse, profile evaluations, stop
-    reason).  When that bracket touches the lowest or the highest grid
-    frequency and the profile there is no worse than the refined point, the
-    constrained optimum lies on the search domain's edge (at the low end,
-    the b -> 0 limit where the family degenerates to a quadratic): the exact
-    linear fit at that edge is returned with stop reason BOUNDARY.
+    The refinement minimises the scan's closed form between the best grid
+    point's neighbours, and the exact linear fit at Brent's optimum is the
+    result; returns (params, sse, profile evaluations, stop reason).  When
+    that bracket touches the lowest or the highest grid frequency and the
+    exact SSE there is no worse than at the refined point, the constrained
+    optimum lies on the search domain's edge (at the low end, the b -> 0
+    limit where the family degenerates to a quadratic): the exact linear fit
+    at that edge is returned with stop reason BOUNDARY.
     """
     bs = _frequency_grid(x)
-    k = int(np.argmin(_grid_profile(x, y, bs[0], bs.size)))
+    yc = y - y.mean()
+    tss = float(yc @ yc)
+    k = int(np.argmin(_grid_profile(x, yc, tss)))
     lo, hi = bs[max(k - 1, 0)], bs[min(k + 1, bs.size - 1)]
-    b, sse, evaluations = _brent_minimize(lambda v: _linear_at(v, x, y)[1], lo, hi)
+    b, _, evaluations = _brent_minimize(lambda v: _profile_at(v, x, yc, tss), lo, hi)
+    params, sse = _linear_at(b, x, y)
     for edge in (lo, hi):
         if edge in (bs[0], bs[-1]):
-            params, edge_sse = _linear_at(edge, x, y)
+            edge_params, edge_sse = _linear_at(edge, x, y)
             if edge_sse <= sse:
-                return params, edge_sse, evaluations, BOUNDARY
-    params, sse = _linear_at(b, x, y)
+                return edge_params, edge_sse, evaluations, BOUNDARY
     return params, sse, evaluations, TOLERANCE
 
 
@@ -327,8 +382,10 @@ def fit_nonlinear(data: Dataset) -> FitResult:
 
     The fit is global over frequencies b in [b_lo, 8 * 2*pi / span] by
     variable projection.  An optimum on an edge of that domain is not
-    raised but flagged by stop reason BOUNDARY.  The
-    parameters are canonicalized to b >= 0, a > 0, c in (-pi, pi].
+    raised but flagged by stop reason BOUNDARY.  Data faster than the
+    domain's upper end are not always flagged: a whole number of periods
+    above 8 fits a side lobe inside the domain, with stop reason TOLERANCE.
+    The parameters are canonicalized to b >= 0, a > 0, c in (-pi, pi].
     """
     model = ModelSpec.sinusoid()
     if len(data) < model.n_params:

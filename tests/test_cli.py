@@ -194,6 +194,18 @@ class TestExperiment:
         assert trial["trial"] == 9
         assert trial["slsm_converged"] is False
 
+    @pytest.mark.parametrize("command", [
+        ["experiment", "--model", "poly", "--beta", "0.4", "--eta", "30"],
+        ["tables", "--configs", "poly:b0.4:e30"],
+    ], ids=["experiment", "tables"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, command, threads):
+        out = tmp_path / "out"
+        code = main([*command, "--reps", "2", "--threads", threads, "--out", str(out)])
+        assert code == 2
+        assert "threads must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_round_trips(self, tmp_path):
         out = tmp_path / "report.json"
         main(["experiment", "--model", "poly", "--beta", "0.8", "--eta", "50",

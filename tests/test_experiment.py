@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import stretchfit.experiment as experiment
+import stretchfit.lsq as lsq
 from stretchfit import (
     SingularFitError,
     grid_config,
@@ -20,6 +21,13 @@ from stretchfit.experiment import trial_rng
 
 def poly_config(seed=0, beta=0.4, eta=30.0, **kw):
     return grid_config("poly", beta, eta, seed=seed, **kw)
+
+
+def fit_summaries(report):
+    """Parameter bytes and stop reason of every fit of every trial, in order."""
+    return [(f.params.tobytes(), f.stop_reason)
+            for t in report.trials
+            for f in (t.lsm_fit, t.slsm_fit.transition, t.slsm_fit.final)]
 
 
 class TestMakeNoisyDataset:
@@ -160,20 +168,36 @@ class TestRunMonteCarlo:
         assert report.win_rate_error2 == wins2 / 100
         assert run_monte_carlo(poly_config(seed=0), repetitions=20).ties_error2 == 0
 
-    def test_prefix_stability_when_doubling(self):
-        cfg = poly_config(seed=6)
-        short = run_monte_carlo(cfg, repetitions=10)
-        long = run_monte_carlo(cfg, repetitions=20)
-        for a, b in zip(short.trials, long.trials[:10]):
-            assert a.errors() == b.errors()
-            assert a.seed == b.seed
+    @pytest.mark.parametrize("family, seed, counts", [
+        ("poly", 6, (10, 20)),
+        ("sin", 6, (1, 7, 14)),
+    ], ids=["poly", "sin"])
+    def test_prefix_stability_when_doubling(self, family, seed, counts):
+        cfg = grid_config(family, 0.4, 30.0, seed=seed)
+        *shorter, longest = [run_monte_carlo(cfg, repetitions=r) for r in counts]
+        for short in shorter:
+            for a, b in zip(short.trials, longest.trials):
+                assert a.errors() == b.errors()
+                assert a.seed == b.seed
 
-    def test_thread_count_does_not_change_report(self):
-        cfg = poly_config(seed=7)
+    @pytest.mark.parametrize("family", ["poly", "sin"])
+    def test_thread_count_does_not_change_report(self, family):
+        cfg = grid_config(family, 0.4, 30.0, seed=7)
         serial = run_monte_carlo(cfg, repetitions=16, threads=1)
         threaded = run_monte_carlo(cfg, repetitions=16, threads=4)
         assert [t.errors() for t in serial.trials] == [t.errors() for t in threaded.trials]
+        assert fit_summaries(serial) == fit_summaries(threaded)
         assert serial.medians == threaded.medians
+
+    def test_scan_cache_does_not_change_sinusoid_report(self):
+        cfg = grid_config("sin", 0.8, 50.0, seed=11)
+        lsq._scan_table.cache_clear()
+        cold = run_monte_carlo(cfg, repetitions=6)
+        assert lsq._scan_table.cache_info().currsize == 2  # x and x + x**0.8
+        warm = run_monte_carlo(cfg, repetitions=6)
+        assert lsq._scan_table.cache_info().hits > 0
+        assert [t.errors() for t in cold.trials] == [t.errors() for t in warm.trials]
+        assert fit_summaries(cold) == fit_summaries(warm)
 
     def test_median_and_iqr_match_numpy(self):
         cfg = poly_config(seed=8)

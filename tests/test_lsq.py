@@ -300,6 +300,48 @@ class TestFitNonlinear:
         assert checked >= 50
 
 
+class TestProfileKernels:
+    """The closed-form profile, the scan tables and their cache."""
+
+    @staticmethod
+    def abscissas():
+        x = np.linspace(0.0, 1.0, 200)
+        return {"x": x, "xx": x + x**0.4, "shifted": np.linspace(1000.0, 1001.0, 200)}
+
+    @pytest.mark.parametrize("name", ["x", "xx", "shifted"])
+    def test_closed_form_matches_exact_profile(self, name):
+        x = self.abscissas()[name]
+        rng = np.random.default_rng(43)
+        y = np.sin(x - x[0]) + rng.normal(0.0, 0.3, x.size)
+        yc = y - y.mean()
+        tss = float(yc @ yc)
+        bs = lsq._frequency_grid(x)
+        exact = np.array([lsq._linear_at(b, x, y)[1] for b in bs])
+        closed = np.array([lsq._profile_at(b, x, yc, tss) for b in bs])
+        scan = lsq._grid_profile(x, yc, tss)
+        assert np.max(np.abs(closed - exact)) <= 1e-12 * tss
+        assert np.max(np.abs(scan - exact)) <= 1e-12 * tss
+
+    def test_warm_scan_equals_cold(self):
+        rng = np.random.default_rng(47)
+        for x in self.abscissas().values():
+            y = rng.normal(0.0, 1.0, x.size)
+            yc = y - y.mean()
+            tss = float(yc @ yc)
+            lsq._scan_table.cache_clear()
+            cold = lsq._grid_profile(x, yc, tss)
+            warm = lsq._grid_profile(x.copy(), yc, tss)
+            assert lsq._scan_table.cache_info().hits == 1
+            assert warm.tobytes() == cold.tobytes()
+
+    def test_long_data_is_not_cached(self):
+        x = np.linspace(0.0, 1.0, 2000)
+        y = np.sin(3.0 * x) + np.random.default_rng(53).normal(0.0, 0.3, x.size)
+        lsq._scan_table.cache_clear()
+        fit_nonlinear(Dataset(x, y))
+        assert lsq._scan_table.cache_info().currsize == 0
+
+
 class TestFitDispatch:
     def test_routes_by_family(self):
         x = np.linspace(0.0, 1.0, 100)
