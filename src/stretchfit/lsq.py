@@ -4,12 +4,12 @@ Polynomials are fitted in closed form through an orthogonal factorization
 of the Vandermonde design matrix.  Sinusoids a*sin(b*x + c) + d go through
 variable projection: for a fixed frequency b the model is linear in
 (A, B, d) with A sin(bx) + B cos(bx) + d, so the SSE is a one-dimensional
-profile in b (Golub & Pereyra 1973).  The profile is scanned on a fixed
-frequency grid and minimised by Brent's method between the best grid
-point's neighbours, both through the closed form of the centered 2x2
-normal equations; the exact linear fit at Brent's optimum is the result,
-so the fit needs no further polish.  The scan's sin/cos table depends on
-the abscissas alone and is cached for fits on equal abscissas.
+profile in b (Golub & Pereyra 1973).  The profile's closed form, from the
+centered 2x2 normal equations, is scanned on a fixed frequency grid and
+refined by safeguarded Newton on its analytic derivatives between the best
+grid point's neighbours; the exact linear fit at the refined frequency is
+the result, so the fit needs no further polish.  The scan's sin/cos table
+depends on the abscissas alone and is cached for fits on equal abscissas.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 POLYNOMIAL = "polynomial"
 SINUSOID = "sinusoid"
 
-# Why a fit stopped.  A closed-form solve and Brent's tolerance test count
+# Why a fit stopped.  A closed-form solve and the refinement's step test count
 # as converged; an optimum on an edge of the frequency domain does not.
 CLOSED_FORM = "closed_form"
 TOLERANCE = "tolerance"
@@ -32,8 +32,8 @@ STOP_REASONS = (CLOSED_FORM, TOLERANCE, BOUNDARY)
 
 # Frequency grid of the profile scan: k * base / _GRID_DENSITY for
 # k = 1.._GRID_POINTS, base = 2*pi / abscissa span, so up to 8 periods over
-# the span.  The first and last grid frequencies are the ends of the search
-# domain.
+# the span, and fewer than (n - 1) / 2 on n points.  The first and last grid
+# frequencies are the ends of the search domain.
 _GRID_DENSITY = 20
 _GRID_POINTS = 160
 # Largest (frequencies x points) block of one vectorised profile pass, which
@@ -206,19 +206,9 @@ def _frequency_grid(x: np.ndarray) -> np.ndarray:
     if span <= 0.0:
         raise ValueError("abscissas must span a positive interval")
     base = 2.0 * math.pi / span
-    return base / _GRID_DENSITY * np.arange(1, _GRID_POINTS + 1)
-
-
-def _profile_from_gram(tss, ss, cc, sc, det, sy, cy):
-    """Profile SSE from the Gram entries of the centered sin and cos columns.
-
-    tss minus the explained sum of squares of the 2x2 normal equations
-    (determinant det = ss*cc - sc*sc, right-hand sides sy and cy against the
-    centered ordinates); degenerate columns give +inf.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = tss - (cc * sy * sy - 2.0 * sc * sy * cy + ss * cy * cy) / det
-    return np.where(np.isfinite(out), out, np.inf)
+    # b_k * span = 2*pi*k / _GRID_DENSITY < pi * (n - 1): below Nyquist on equal spacing.
+    points = min(_GRID_POINTS, (_GRID_DENSITY * (x.size - 1) - 1) // 2)
+    return base / _GRID_DENSITY * np.arange(1, points + 1)
 
 
 def _scan_blocks(x: np.ndarray):
@@ -259,29 +249,23 @@ def _scan_table(key: bytes) -> tuple[np.ndarray, ...]:
 def _grid_profile(x: np.ndarray, yc: np.ndarray, tss: float) -> np.ndarray:
     """Profile SSE at the grid frequencies, for ranking them.
 
-    ``yc`` are the centered ordinates and ``tss`` their sum of squares.
-    Abscissas whose table fits one block reuse it from _scan_table; longer
-    ones are scanned block by block, uncached, to bound memory.
+    ``yc`` are the centered ordinates and ``tss`` their sum of squares; the
+    SSE is tss minus the explained sum of squares of the 2x2 normal
+    equations, and degenerate columns give +inf.  Abscissas whose table fits
+    one block reuse it from _scan_table; longer ones are scanned block by
+    block, uncached, to bound memory.
     """
     if x.size * _GRID_POINTS <= _GRID_BLOCK:
         blocks = [_scan_table(x.tobytes())]
     else:
         blocks = _scan_blocks(x)
-    return np.concatenate([
-        _profile_from_gram(tss, ss, cc, sc, det, s @ yc, c @ yc)
-        for s, c, ss, cc, sc, det in blocks
-    ])
-
-
-def _profile_at(b: float, x: np.ndarray, yc: np.ndarray, tss: float) -> float:
-    """The scan's closed form at one frequency: its profile SSE, +inf if degenerate."""
-    bx = b * x
-    s = np.sin(bx)
-    c = np.cos(bx)
-    s -= s.mean()
-    c -= c.mean()
-    ss, cc, sc = s @ s, c @ c, s @ c
-    return float(_profile_from_gram(tss, ss, cc, sc, ss * cc - sc * sc, s @ yc, c @ yc))
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s, c, ss, cc, sc, det in blocks:
+            sy, cy = s @ yc, c @ yc
+            out.append(tss - (cc * sy * sy - 2.0 * sc * sy * cy + ss * cy * cy) / det)
+    out = np.concatenate(out)
+    return np.where(np.isfinite(out), out, np.inf)
 
 
 def _linear_at(b: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -294,80 +278,89 @@ def _linear_at(b: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, floa
     return params, float(r @ r)
 
 
-def _brent_minimize(f, lo: float, hi: float) -> tuple[float, float, int]:
-    """Minimise f on [lo, hi], lo > 0, to a relative precision of sqrt(eps).
+def _profile_derivatives(b: float, u: np.ndarray, yc: np.ndarray,
+                         tss: float) -> tuple[float, float, float]:
+    """The closed-form profile f(b) = tss - R(b) and its analytic f' and f''.
 
-    Brent's method (golden section with parabolic steps), as in fmin of
-    Forsythe, Malcolm & Moler (1977); returns (x, f(x)) of the best point
-    and the number of evaluations of f.
+    ``u`` are the abscissas shifted to mean zero, which keeps the derivative
+    columns u cos(bu), ... accurate (the profile is shift-invariant).  With
+    G the Gram matrix of the centered sin and cos columns, q their products
+    with ``yc``, theta = G^-1 q and r = q' - G' theta: R = q^T theta,
+    R' = 2 q'^T theta - theta^T G' theta and
+    R'' = 2 q''^T theta + 2 r^T G^-1 r - theta^T G'' theta.  A singular G
+    gives non-finite values, never an error.
     """
-    golden = (3.0 - math.sqrt(5.0)) / 2.0
+    bu = b * u
+    sin, cos = np.sin(bu), np.cos(bu)
+    us, uc = u * sin, u * cos
+    # Rows s, c and their first and second derivatives in b, all centered.
+    v = np.stack([sin, cos, uc, -us, -u * us, -u * uc])
+    v -= v.mean(axis=1, keepdims=True)
+    g = (v @ v.T).tolist()
+    q0, q1, d0, d1, e0, e1 = (v @ yc).tolist()
+    ss, sc, cc = g[0][0], g[0][1], g[1][1]
+    det = ss * cc - sc * sc
+    inv = 1.0 / det if det else math.inf
+    # G' and G'' by the product rule; each is symmetric.
+    ds, dsc, dc = 2.0 * g[2][0], g[2][1] + g[3][0], 2.0 * g[3][1]
+    es = 2.0 * (g[4][0] + g[2][2])
+    esc = g[4][1] + 2.0 * g[2][3] + g[5][0]
+    ec = 2.0 * (g[5][1] + g[3][3])
+    t0, t1 = (cc * q0 - sc * q1) * inv, (ss * q1 - sc * q0) * inv
+    r0, r1 = d0 - (ds * t0 + dsc * t1), d1 - (dsc * t0 + dc * t1)
+    w0, w1 = (cc * r0 - sc * r1) * inv, (ss * r1 - sc * r0) * inv
+    explained = q0 * t0 + q1 * t1
+    slope = 2.0 * (d0 * t0 + d1 * t1) - (ds * t0 * t0 + 2.0 * dsc * t0 * t1 + dc * t1 * t1)
+    curvature = (2.0 * (e0 * t0 + e1 * t1) + 2.0 * (w0 * r0 + w1 * r1)
+                 - (es * t0 * t0 + 2.0 * esc * t0 * t1 + ec * t1 * t1))
+    return tss - explained, -slope, -curvature
+
+
+def _newton_minimize(b: float, lo: float, hi: float, u: np.ndarray, yc: np.ndarray,
+                     tss: float) -> tuple[float, int]:
+    """Minimise the closed-form profile on [lo, hi], starting at its grid point b.
+
+    Safeguarded Newton on the root of f': every evaluation shrinks the
+    bracket to the side where f' changes sign, and a step that leaves the
+    bracket, meets f'' <= 0 or is not finite becomes a bisection, which
+    bounds the loop.  Stops once a step is at most sqrt(eps) * b; returns
+    that point and the number of derivative evaluations.
+    """
     rel = math.sqrt(np.finfo(float).eps)
-    x = w = v = lo + golden * (hi - lo)
-    fx = fw = fv = f(x)
-    evaluations = 1
-    d = e = 0.0
+    evaluations = 0
     while True:
-        mid = 0.5 * (lo + hi)
-        tol1 = rel * abs(x)
-        tol2 = 2.0 * tol1
-        if abs(x - mid) <= tol2 - 0.5 * (hi - lo):
-            return x, fx, evaluations
-        parabolic = False
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            if abs(p) < abs(0.5 * q * e) and q * (lo - x) < p < q * (hi - x):
-                e, d = d, p / q
-                if (x + d) - lo < tol2 or hi - (x + d) < tol2:
-                    d = tol1 if x < mid else -tol1
-                parabolic = True
-        if not parabolic:
-            e = (hi - x) if x < mid else (lo - x)
-            d = golden * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = f(u)
+        _, slope, curvature = _profile_derivatives(b, u, yc, tss)
         evaluations += 1
-        if fu <= fx:
-            if u < x:
-                hi = x
-            else:
-                lo = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                lo = u
-            else:
-                hi = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+        if slope > 0.0:
+            hi = b
+        elif slope < 0.0:
+            lo = b
+        new = b - slope / curvature if curvature > 0.0 else math.nan
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - b) <= rel * b:
+            return new, evaluations
+        b = new
 
 
 def _variable_projection(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, int, str]:
-    """Global sinusoid fit: profile scan, then Brent on the closed-form profile.
+    """Global sinusoid fit: profile scan, then Newton on the closed-form profile.
 
     The refinement minimises the scan's closed form between the best grid
-    point's neighbours, and the exact linear fit at Brent's optimum is the
-    result; returns (params, sse, profile evaluations, stop reason).  When
-    that bracket touches the lowest or the highest grid frequency and the
-    exact SSE there is no worse than at the refined point, the constrained
-    optimum lies on the search domain's edge (at the low end, the b -> 0
-    limit where the family degenerates to a quadratic): the exact linear fit
-    at that edge is returned with stop reason BOUNDARY.
+    point's neighbours, and the exact linear fit at its optimum is the
+    result; returns (params, sse, derivative evaluations, stop reason).
+    When that bracket touches the lowest or the highest grid frequency and
+    the exact SSE there is no worse than at the refined point, the
+    constrained optimum lies on the search domain's edge (at the low end,
+    the b -> 0 limit where the family degenerates to a quadratic): the exact
+    linear fit at that edge is returned with stop reason BOUNDARY.
     """
     bs = _frequency_grid(x)
     yc = y - y.mean()
     tss = float(yc @ yc)
     k = int(np.argmin(_grid_profile(x, yc, tss)))
     lo, hi = bs[max(k - 1, 0)], bs[min(k + 1, bs.size - 1)]
-    b, _, evaluations = _brent_minimize(lambda v: _profile_at(v, x, yc, tss), lo, hi)
+    b, evaluations = _newton_minimize(float(bs[k]), float(lo), float(hi), x - x.mean(), yc, tss)
     params, sse = _linear_at(b, x, y)
     for edge in (lo, hi):
         if edge in (bs[0], bs[-1]):
@@ -380,12 +373,15 @@ def _variable_projection(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, floa
 def fit_nonlinear(data: Dataset) -> FitResult:
     """Least squares fit of a*sin(b*x + c) + d.
 
-    The fit is global over frequencies b in [b_lo, 8 * 2*pi / span] by
-    variable projection.  An optimum on an edge of that domain is not
-    raised but flagged by stop reason BOUNDARY.  Data faster than the
-    domain's upper end are not always flagged: a whole number of periods
-    above 8 fits a side lobe inside the domain, with stop reason TOLERANCE.
-    The parameters are canonicalized to b >= 0, a > 0, c in (-pi, pi].
+    The fit is global over frequencies b from 2*pi / (20 * span) up to 8
+    periods over the span and below Nyquist, (n - 1) / 2 periods on n points,
+    by variable projection: a profile scan, then safeguarded Newton on the
+    profile's analytic derivatives, whose evaluations ``iterations`` counts.
+    An optimum on an edge of that domain is not raised but flagged by stop
+    reason BOUNDARY.  Data faster than the domain's upper end are not always
+    flagged: a whole number of periods above 8 fits a side lobe inside the
+    domain, with stop reason TOLERANCE.  The parameters are canonicalized to
+    b >= 0, a > 0, c in (-pi, pi].
     """
     model = ModelSpec.sinusoid()
     if len(data) < model.n_params:

@@ -30,22 +30,31 @@ def sin_jacobian(params, x):
     return np.column_stack([np.sin(b * x + c), a * x * co, a * co, np.ones_like(x)])
 
 
-def dense_profile_reference(x, y):
-    """Least SSE of a*sin(bx+c)+d, built independently of the package.
+def dense_profile(x, y):
+    """Exact SSE profile of a*sin(bx+c)+d in b, built independently of the package.
 
     For fixed b the model is linear, so the SSE is a profile in b.  It is
-    scanned at 50 points per 2*pi/span up to 8 periods (batched QR), its
-    three best local minima are polished by MINPACK Levenberg-Marquardt, and
-    the quadratic fit is the b -> 0 limit.
+    scanned at 50 points per 2*pi/span up to 8 periods, and below (n - 1)/2
+    periods, Nyquist on n equally spaced points (batched QR).  Returns the
+    frequencies and the profile.
     """
-    quad, *_ = scipy.linalg.lstsq(np.vander(x, 3), y)
-    best = float(np.sum((np.vander(x, 3) @ quad - y) ** 2))
     base = 2.0 * math.pi / (x.max() - x.min())
-    bs = base * np.arange(1, 8 * 50 + 1) / 50
+    bs = base * np.arange(1, min(8 * 50, 25 * (x.size - 1) - 1) + 1) / 50
     arg = np.multiply.outer(bs, x)
     q, _ = np.linalg.qr(np.stack([np.sin(arg), np.cos(arg), np.ones_like(arg)], axis=-1))
     resid = y - np.einsum("kij,kj->ki", q, np.einsum("kij,i->kj", q, y))
-    profile = np.einsum("ki,ki->k", resid, resid)
+    return bs, np.einsum("ki,ki->k", resid, resid)
+
+
+def dense_profile_reference(x, y):
+    """Least SSE of a*sin(bx+c)+d, built independently of the package.
+
+    The three best local minima of the dense profile are polished by MINPACK
+    Levenberg-Marquardt, and the quadratic fit is the b -> 0 limit.
+    """
+    quad, *_ = scipy.linalg.lstsq(np.vander(x, 3), y)
+    best = float(np.sum((np.vander(x, 3) @ quad - y) ** 2))
+    bs, profile = dense_profile(x, y)
     interior = (profile[1:-1] <= profile[:-2]) & (profile[1:-1] <= profile[2:])
     minima = np.concatenate([[0], np.flatnonzero(interior) + 1])
     for i in minima[np.argsort(profile[minima])][:3]:
@@ -230,7 +239,7 @@ class TestFitNonlinear:
 
     def test_frequency_grid_is_deterministic(self):
         # 160 frequencies k * base / 20, base = 2*pi / span: up to 8 periods
-        # over the span, fixed by the span alone.
+        # over the span, fixed by the span and, below 18 points, by Nyquist.
         x = np.linspace(0.0, 2.0, 100)
         grid = lsq._frequency_grid(x)
         base = 2.0 * math.pi / 2.0
@@ -240,6 +249,10 @@ class TestFitNonlinear:
         np.testing.assert_allclose(grid[-1], 8 * base, rtol=1e-15)
         assert lsq._frequency_grid(x + 3.0).tobytes() == grid.tobytes()
         assert lsq._frequency_grid(x[::-1]).tobytes() == grid.tobytes()
+        for n, size in [(4, 29), (9, 79), (17, 159), (18, 160)]:
+            small = lsq._frequency_grid(np.linspace(0.0, 2.0, n))
+            np.testing.assert_array_equal(small, grid[:size])
+            assert small[-1] * 2.0 < math.pi * (n - 1)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
@@ -282,7 +295,7 @@ class TestFitNonlinear:
         # independent reference: a dense profile in b, MINPACK polish of its
         # three best basins, and the quadratic b -> 0 limit.
         rng = np.random.default_rng(41)
-        checked = 0
+        evaluations = []
         for _ in range(60):
             n = int(rng.integers(20, 300))
             lo = rng.uniform(0.0, 2.0)
@@ -294,14 +307,32 @@ class TestFitNonlinear:
             fit = fit_nonlinear(Dataset(x, y))
             if fit.stop_reason == "boundary":
                 continue
-            checked += 1
+            evaluations.append(fit.iterations)
             assert fit.converged
             assert fit.sse <= (1.0 + 1e-9) * dense_profile_reference(x, y)
-        assert checked >= 50
+        assert len(evaluations) >= 50
+        # Newton from the grid point needs a few derivative evaluations; a
+        # refinement that falls back to bisection needs about 20.
+        assert np.mean(evaluations) < 8
+
+    def test_small_equally_spaced_data_stay_below_nyquist(self):
+        # On n equally spaced points, frequencies above Nyquist alias lower
+        # ones, and at b*h = 2*pi the sin and cos columns are constant, so a
+        # search reaching there can rank a degenerate frequency first.  Each
+        # fit must come within 5% of TSS of the dense sub-Nyquist profile.
+        rng = np.random.default_rng(61)
+        cases = [(9, 0.5)] * 20 + [
+            (int(rng.integers(4, 40)), float(rng.choice([1.0, 0.5, 0.1]))) for _ in range(280)]
+        for n, h in cases:
+            x = h * np.arange(n) + rng.uniform(-5.0, 5.0)
+            y = rng.normal(0.0, 1.0, n)
+            tss = float(np.sum((y - y.mean()) ** 2))
+            fit = fit_nonlinear(Dataset(x, y))
+            assert fit.sse <= dense_profile(x, y)[1].min() + 0.05 * tss, (n, h)
 
 
 class TestProfileKernels:
-    """The closed-form profile, the scan tables and their cache."""
+    """The closed-form profile and its derivatives, the scan tables and their cache."""
 
     @staticmethod
     def abscissas():
@@ -317,10 +348,33 @@ class TestProfileKernels:
         tss = float(yc @ yc)
         bs = lsq._frequency_grid(x)
         exact = np.array([lsq._linear_at(b, x, y)[1] for b in bs])
-        closed = np.array([lsq._profile_at(b, x, yc, tss) for b in bs])
+        closed = np.array([lsq._profile_derivatives(b, x - x.mean(), yc, tss)[0] for b in bs])
         scan = lsq._grid_profile(x, yc, tss)
         assert np.max(np.abs(closed - exact)) <= 1e-12 * tss
         assert np.max(np.abs(scan - exact)) <= 1e-12 * tss
+
+    @pytest.mark.parametrize("name", ["x", "xx", "shifted"])
+    def test_derivatives_match_central_differences(self, name):
+        # f' and f'' of the closed form against central differences of the
+        # exact profile, scaled by the units of tss * span**k.
+        x = self.abscissas()[name]
+        rng = np.random.default_rng(59)
+        y = np.sin(3.0 * (x - x[0])) + rng.normal(0.0, 0.3, x.size)
+        yc = y - y.mean()
+        tss = float(yc @ yc)
+        span = x[-1] - x[0]
+
+        def exact(b):
+            return lsq._linear_at(b, x, y)[1]
+
+        for b in lsq._frequency_grid(x)[::7]:
+            _, slope, curvature = lsq._profile_derivatives(b, x - x.mean(), yc, tss)
+            h = 1e-4 / span
+            assert slope == pytest.approx((exact(b + h) - exact(b - h)) / (2 * h),
+                                          abs=1e-8 * tss * span)
+            h = 1e-3 / span
+            assert curvature == pytest.approx((exact(b + h) - 2 * exact(b) + exact(b - h)) / h**2,
+                                              abs=1e-5 * tss * span**2)
 
     def test_warm_scan_equals_cold(self):
         rng = np.random.default_rng(47)
