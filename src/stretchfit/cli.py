@@ -51,9 +51,6 @@ class RunManifest:
     tool: str = "stretchfit"
     version: str = __version__
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(asdict(self), indent=indent, sort_keys=True)
-
 
 def _write_text(path: Path, content: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -108,7 +105,8 @@ def cmd_sample(args) -> int:
         outputs=(str(out),),
     )
     body = "\n".join(_fmt(v) for v in samples)
-    _write_text(out, "# manifest " + manifest.to_json(indent=None) + "\n" + body + "\n")
+    header = "# manifest " + json.dumps(asdict(manifest), sort_keys=True)
+    _write_text(out, header + "\n" + body + "\n")
     return EXIT_OK
 
 
@@ -174,13 +172,13 @@ def cmd_fit(args) -> int:
     code = EXIT_OK
     if args.method == "lsm":
         result = fit(model, data)
-        report = {"manifest": json.loads(manifest.to_json()), "method": "lsm", **_fit_dict(result)}
+        report = {"manifest": asdict(manifest), "method": "lsm", **_fit_dict(result)}
         if not result.converged:
             code = EXIT_NONCONVERGED
     else:
         sf = stretched_fit(model, data, args.beta)
         report = {
-            "manifest": json.loads(manifest.to_json()),
+            "manifest": asdict(manifest),
             "method": "stretched",
             **_fit_dict(sf.final),
             "stages": {
@@ -232,7 +230,7 @@ def cmd_experiment(args) -> int:
         args.model, args.beta, args.eta, seed=args.seed,
         n=args.n, x_domain=(args.xmin, args.xmax),
     )
-    report = run_monte_carlo(cfg, args.reps, threads=args.threads)
+    report = run_monte_carlo(cfg, args.reps)
     token = config_token(args.model, args.beta, args.eta)
     out = Path(args.out or f"experiment_{token.replace(':', '_')}.json")
     manifest = RunManifest(
@@ -244,7 +242,7 @@ def cmd_experiment(args) -> int:
         },
         outputs=(str(out),),
     )
-    payload = {"manifest": json.loads(manifest.to_json()), **_report_dict(token, report)}
+    payload = {"manifest": asdict(manifest), **_report_dict(token, report)}
     _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -286,7 +284,7 @@ def cmd_tables(args) -> int:
     outputs: list[str] = []
     summaries: dict[str, dict] = {}
     for token, cfg in grid:
-        report = run_monte_carlo(cfg, args.reps, threads=args.threads)
+        report = run_monte_carlo(cfg, args.reps)
         stem = token.replace(":", "_")
         rep = _representative_trial(report)
 
@@ -336,7 +334,7 @@ def cmd_tables(args) -> int:
         },
         outputs=tuple(outputs),
     )
-    payload = {"manifest": json.loads(manifest.to_json()), "summaries": summaries}
+    payload = {"manifest": asdict(manifest), "summaries": summaries}
     _write_text(outdir / "manifest.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -350,7 +348,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base random seed")
     common.add_argument("--out", type=str, default=None, help="output path")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
+    common.add_argument("--threads", type=int, default=1,
+                        help="accepted for existing command lines; trials run serially")
     common.add_argument("--config", type=str, default=None,
                         help="JSON file whose entries override flag defaults")
 
@@ -437,6 +436,8 @@ def main(argv=None) -> int:
             command = commands[args.command]
             command.set_defaults(**_config_defaults(args.config, command))
             args = parser.parse_args(argv)
+        if args.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {args.threads}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"stretchfit: error: {exc}", file=sys.stderr)

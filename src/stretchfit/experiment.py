@@ -3,14 +3,12 @@ single trials, and the seeded Monte Carlo comparison of plain versus
 stretched least squares.
 
 Each trial owns a private random stream derived from (base seed, trial
-index), so a report is bit-identical regardless of execution order or
-thread count, and extending the repetition count preserves the existing
-trial prefix.
+index), so a report is bit-identical on every rerun, and extending the
+repetition count preserves the existing trial prefix.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -180,70 +178,46 @@ def run_trial(cfg: TrialConfig, trial_index: int = 0) -> TrialReport:
     )
 
 
-def _column_stats(reports: list[TrialReport]) -> tuple[dict[str, float], dict[str, float]]:
-    medians: dict[str, float] = {}
-    iqrs: dict[str, float] = {}
-    table = np.array([r.errors() for r in reports], dtype=float)
-    for j, name in enumerate(ERROR_COLUMNS):
-        col = table[:, j]
-        medians[name] = float(np.median(col))
-        q25, q75 = np.percentile(col, [25.0, 75.0], method="linear")
-        iqrs[name] = float(q75 - q25)
-    return medians, iqrs
-
-
-def _tie(a: float, b: float) -> bool:
-    return abs(a - b) <= TIE_RTOL * max(a, b)
-
-
-def run_monte_carlo(cfg: TrialConfig, repetitions: int, threads: int = 1) -> ExperimentReport:
+def run_monte_carlo(cfg: TrialConfig, repetitions: int) -> ExperimentReport:
     """Repeat the trial with derived per-trial seeds and aggregate.
 
-    The report is identical for any thread count because trial i always
-    draws from the stream (cfg.seed, i) and results are reduced in index
-    order.
+    Trial i always draws from the stream (cfg.seed, i), and the trials run
+    and are reduced in index order.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
 
-    def one(i: int):
+    trials: list[TrialReport] = []
+    failures: list[tuple[int, str]] = []
+    for i in range(repetitions):
         try:
-            return run_trial(cfg, i)
+            trials.append(run_trial(cfg, i))
         except TRIAL_FAILURE_TYPES as exc:
-            return (i, f"{type(exc).__name__}: {exc}")
+            failures.append((i, f"{type(exc).__name__}: {exc}"))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, range(repetitions)))
-    else:
-        outcomes = [one(i) for i in range(repetitions)]
-
-    trials = [o for o in outcomes if isinstance(o, TrialReport)]
-    failures = tuple(o for o in outcomes if not isinstance(o, TrialReport))
-
+    win_rates, ties = [float("nan")] * 2, [0, 0]
+    medians: dict[str, float] = {}
+    iqrs: dict[str, float] = {}
     if trials:
-        wins1 = sum(1 for t in trials if t.slsm_error1 < t.lsm_error1)
-        wins2 = sum(1 for t in trials if t.slsm_error2 < t.lsm_error2)
-        win_rate_error1 = wins1 / len(trials)
-        win_rate_error2 = wins2 / len(trials)
-        medians, iqrs = _column_stats(trials)
-    else:
-        win_rate_error1 = win_rate_error2 = float("nan")
-        medians, iqrs = {}, {}
-    ties_error1 = sum(1 for t in trials if _tie(t.lsm_error1, t.slsm_error1))
-    ties_error2 = sum(1 for t in trials if _tie(t.lsm_error2, t.slsm_error2))
+        # One row per trial, in the order of ERROR_COLUMNS.
+        table = np.array([t.errors() for t in trials])
+        lsm, slsm = table[:, :2], table[:, 2:]
+        win_rates = [w / len(trials) for w in np.count_nonzero(slsm < lsm, axis=0).tolist()]
+        tied = np.abs(lsm - slsm) <= TIE_RTOL * np.maximum(lsm, slsm)
+        ties = np.count_nonzero(tied, axis=0).tolist()
+        medians = dict(zip(ERROR_COLUMNS, np.median(table, axis=0).tolist()))
+        q25, q75 = np.percentile(table, [25.0, 75.0], axis=0)
+        iqrs = dict(zip(ERROR_COLUMNS, (q75 - q25).tolist()))
 
     return ExperimentReport(
         config=cfg,
         repetitions=repetitions,
         trials=tuple(trials),
-        failures=failures,
-        win_rate_error1=win_rate_error1,
-        win_rate_error2=win_rate_error2,
-        ties_error1=ties_error1,
-        ties_error2=ties_error2,
+        failures=tuple(failures),
+        win_rate_error1=win_rates[0],
+        win_rate_error2=win_rates[1],
+        ties_error1=ties[0],
+        ties_error2=ties[1],
         medians=medians,
         iqrs=iqrs,
     )

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hausdorff import reset_horizontal
-from .lsq import Dataset, FitResult, ModelSpec, fit, predict
+from .lsq import Dataset, FitResult, ModelSpec, SingularFitError, fit, predict
 
 
 class StageFailure(RuntimeError):
-    """A least squares stage of the two-stage procedure failed."""
+    """A least squares stage of the two-stage procedure failed numerically."""
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"{stage} stage failed: {cause}")
@@ -53,19 +53,21 @@ def stretched_fit(model: ModelSpec, data: Dataset, beta: float) -> StretchedFit:
 
     Both stages use the family's global solver, so a sinusoid stage that did
     not converge comes back flagged by its stop reason rather than raised.
+    Only numerical failures of a stage become StageFailure; invalid input
+    raises as it does from ``fit``.
     """
     xx = reset_horizontal(data.x, beta)
 
     try:
         transition = fit(model, Dataset(xx, data.y))
-    except Exception as exc:
+    except (SingularFitError, np.linalg.LinAlgError) as exc:
         raise StageFailure("transition", exc) from exc
 
     smoothed = predict(model, transition.params, xx)
 
     try:
         final = fit(model, Dataset(data.x, smoothed))
-    except Exception as exc:
+    except (SingularFitError, np.linalg.LinAlgError) as exc:
         raise StageFailure("final", exc) from exc
 
     return StretchedFit(beta=beta, transition=transition, final=final)

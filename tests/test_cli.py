@@ -113,12 +113,16 @@ class TestFit:
         text = out.read_text()
         assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
 
-    def test_sinusoid_needs_four_points(self, tmp_path, capsys):
-        path = tmp_path / "two.csv"
-        path.write_text("x,y\n0.0,0.0\n1.0,0.8\n")
-        code = main(["fit", "--input", str(path), "--model", "sin",
+    @pytest.mark.parametrize("method", [["--method", "lsm"],
+                                        ["--method", "stretched", "--beta", "0.5"]],
+                             ids=["lsm", "stretched"])
+    def test_sinusoid_needs_four_points(self, tmp_path, capsys, method):
+        path = tmp_path / "three.csv"
+        path.write_text("x,y\n0.0,0.0\n0.5,0.5\n1.0,0.8\n")
+        code = main(["fit", "--input", str(path), "--model", "sin", *method,
                      "--out", str(tmp_path / "f.json")])
         assert code == 2
+        assert "sinusoid fits need at least 4 points" in capsys.readouterr().err
 
     def test_malformed_csv_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -195,13 +199,18 @@ class TestExperiment:
         assert trial["slsm_converged"] is False
 
     @pytest.mark.parametrize("command", [
-        ["experiment", "--model", "poly", "--beta", "0.4", "--eta", "30"],
-        ["tables", "--configs", "poly:b0.4:e30"],
-    ], ids=["experiment", "tables"])
+        ["experiment", "--model", "poly", "--beta", "0.4", "--eta", "30", "--reps", "2"],
+        ["tables", "--configs", "poly:b0.4:e30", "--reps", "2"],
+        ["sample", "-n", "10"],
+        ["fit", "--model", "poly2"],
+    ], ids=["experiment", "tables", "sample", "fit"])
     @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, command, threads):
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, quadratic_csv,
+                                              command, threads):
+        if command[0] == "fit":
+            command = [*command, "--input", str(quadratic_csv)]
         out = tmp_path / "out"
-        code = main([*command, "--reps", "2", "--threads", threads, "--out", str(out)])
+        code = main([*command, "--threads", threads, "--out", str(out)])
         assert code == 2
         assert "threads must be at least 1" in capsys.readouterr().err
         assert not out.exists()
