@@ -42,16 +42,18 @@ from .hausdorff import (
 )
 from .lsq import (
     Dataset,
+    FitBatch,
     FitResult,
     ModelSpec,
     SingularFitError,
     canonicalize_sinusoid,
     fit,
+    fit_batch,
     fit_linear,
     fit_nonlinear,
     predict,
 )
-from .stretched import StageFailure, StretchedFit, stretched_fit
+from .stretched import StageFailure, StretchedFit, stretched_fit, stretched_fit_batch
 
 __all__ = [
     "DegenerateScaleError",
@@ -71,17 +73,20 @@ __all__ = [
     "metric_transform",
     "reset_horizontal",
     "Dataset",
+    "FitBatch",
     "FitResult",
     "ModelSpec",
     "SingularFitError",
     "canonicalize_sinusoid",
     "fit",
+    "fit_batch",
     "fit_linear",
     "fit_nonlinear",
     "predict",
     "StageFailure",
     "StretchedFit",
     "stretched_fit",
+    "stretched_fit_batch",
     "ExperimentReport",
     "TrialConfig",
     "TrialReport",

@@ -9,6 +9,7 @@ input error, 3 non-convergence (result still written), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -105,7 +106,7 @@ def cmd_sample(args) -> int:
         outputs=(str(out),),
     )
     body = "\n".join(_fmt(v) for v in samples)
-    header = "# manifest " + json.dumps(asdict(manifest), sort_keys=True)
+    header = "# manifest " + json.dumps(asdict(manifest), sort_keys=True, allow_nan=False)
     _write_text(out, header + "\n" + body + "\n")
     return EXIT_OK
 
@@ -190,7 +191,7 @@ def cmd_fit(args) -> int:
         if not sf.converged:
             code = EXIT_NONCONVERGED
 
-    _write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_text(out, json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return code
 
 
@@ -243,7 +244,7 @@ def cmd_experiment(args) -> int:
         outputs=(str(out),),
     )
     payload = {"manifest": asdict(manifest), **_report_dict(token, report)}
-    _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(out, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return EXIT_OK
 
 
@@ -285,6 +286,10 @@ def cmd_tables(args) -> int:
     summaries: dict[str, dict] = {}
     for token, cfg in grid:
         report = run_monte_carlo(cfg, args.reps)
+        if not report.trials:
+            print(f"stretchfit: every trial of {token} failed: {report.failures[0][1]}",
+                  file=sys.stderr)
+            return EXIT_NUMERICAL
         stem = token.replace(":", "_")
         rep = _representative_trial(report)
 
@@ -335,7 +340,8 @@ def cmd_tables(args) -> int:
         outputs=tuple(outputs),
     )
     payload = {"manifest": asdict(manifest), "summaries": summaries}
-    _write_text(outdir / "manifest.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(outdir / "manifest.json",
+                json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return EXIT_OK
 
 
@@ -427,12 +433,20 @@ def _config_defaults(path: str, command: argparse.ArgumentParser) -> dict:
     return {key: _config_value(key, value, options[key]) for key, value in entries.items()}
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser every call without --config uses; built once, never modified."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser, commands = build_parser()
+    parser, commands = _shared_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:
-            # Config entries become defaults, so flags given explicitly win.
+            # Config entries become defaults, so flags given explicitly win.  They
+            # go into a parser of this call's own, not into the shared one.
+            parser, commands = build_parser()
             command = commands[args.command]
             command.set_defaults(**_config_defaults(args.config, command))
             args = parser.parse_args(argv)

@@ -4,7 +4,9 @@ stretched least squares.
 
 Each trial owns a private random stream derived from (base seed, trial
 index), so a report is bit-identical on every rerun, and extending the
-repetition count preserves the existing trial prefix.
+repetition count preserves the existing trial prefix.  The trials of a run
+share their abscissas, so both methods fit and score them as one batch,
+whose rows are computed independently of the batch size.
 """
 
 from __future__ import annotations
@@ -25,19 +27,16 @@ from .lsq import (
     FitResult,
     ModelSpec,
     SingularFitError,
-    fit,
+    fit_batch,
     predict,
 )
-from .stretched import StageFailure, StretchedFit, stretched_fit
+from .stretched import StageFailure, StretchedFit, stretched_fit_batch
 
-# Error families that mark a trial failed (excluded from win rates) rather
-# than aborting the whole Monte Carlo run.  A fit that did not converge is
-# not among them: it is kept and flagged by its stop reason.
-TRIAL_FAILURE_TYPES = (
-    SingularFitError,
-    StageFailure,
-    SamplerFailureError,
-)
+# Fit errors that mark the batch's trials failed (excluded from win rates)
+# rather than aborting the whole Monte Carlo run; a SamplerFailureError
+# marks its own trial.  A fit that did not converge is not among them: it
+# is kept and flagged by its stop reason.
+TRIAL_FAILURE_TYPES = (SingularFitError, StageFailure)
 
 ERROR_COLUMNS = ("lsm_error1", "lsm_error2", "slsm_error1", "slsm_error2")
 
@@ -104,18 +103,19 @@ class ExperimentReport:
     """Aggregate of a seeded Monte Carlo run.
 
     Win rates are exact fractions of successful trials in which the
-    stretched method is strictly better on the given metric; failed trials
-    are listed and excluded from the denominators.  Ties count the trials
-    whose two errors agree to TIE_RTOL; they are reported apart and do not
-    change the strict win rates.
+    stretched method is strictly better on the given metric, and None when
+    no trial succeeded; failed trials are listed and excluded from the
+    denominators.  Ties count the trials whose two errors agree to
+    TIE_RTOL; they are reported apart and do not change the strict win
+    rates.
     """
 
     config: TrialConfig
     repetitions: int
     trials: tuple[TrialReport, ...]
     failures: tuple[tuple[int, str], ...]
-    win_rate_error1: float
-    win_rate_error2: float
+    win_rate_error1: float | None
+    win_rate_error2: float | None
     ties_error1: int
     ties_error2: int
     medians: dict[str, float] = field(default_factory=dict)
@@ -134,68 +134,99 @@ def make_noisy_dataset(cfg: TrialConfig, rng: np.random.Generator) -> Dataset:
     ordinates are exact and no noise is drawn.
     """
     x = np.linspace(*cfg.x_domain, cfg.n)
-    y = predict(cfg.truth_model, cfg.truth_params, x)
+    return Dataset(x, _add_noise(cfg, predict(cfg.truth_model, cfg.truth_params, x), rng))
+
+
+def _add_noise(cfg: TrialConfig, y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``y`` plus the configuration's noise drawn from ``rng``; ``y`` itself when eta = 0."""
     if cfg.eta > 0.0:
         raw = standardize(sample_rejection(cfg.noise_law, rng, cfg.n))
         y = y + raw * (cfg.eta / 100.0)
-    return Dataset(x, y)
+    return y
 
 
-def error1(fitted: Callable, truth: Callable, x) -> float:
-    """Maximum absolute pointwise gap between the two curves on the grid."""
+def error1(fitted: Callable, truth: Callable, x):
+    """Maximum absolute pointwise gap between the two curves on the grid.
+
+    A ``fitted`` that returns one row of values per fit gives one error per row.
+    """
     xv = np.asarray(x, dtype=float)
     if xv.size == 0:
         raise ValueError("error metrics need at least one evaluation point")
-    return float(np.max(np.abs(np.asarray(fitted(xv)) - np.asarray(truth(xv)))))
+    return np.max(np.abs(np.asarray(fitted(xv)) - np.asarray(truth(xv))), axis=-1)
 
 
-def error2(fitted: Callable, truth: Callable, x) -> float:
-    """Root mean square pointwise gap between the two curves on the grid."""
+def error2(fitted: Callable, truth: Callable, x):
+    """Root mean square pointwise gap between the two curves on the grid.
+
+    A ``fitted`` that returns one row of values per fit gives one error per row.
+    """
     xv = np.asarray(x, dtype=float)
     if xv.size == 0:
         raise ValueError("error metrics need at least one evaluation point")
     diff = np.asarray(fitted(xv)) - np.asarray(truth(xv))
-    return float(np.sqrt(np.mean(diff**2)))
+    return np.sqrt(np.mean(diff**2, axis=-1))
+
+
+def _run_batch(cfg: TrialConfig, x: np.ndarray, indices: list[int],
+               ys: np.ndarray) -> list[TrialReport]:
+    """Fit both methods to each row of ``ys`` and score them; row k is trial indices[k]."""
+    truth = cfg.truth_function()
+    lsm = fit_batch(cfg.truth_model, x, ys)
+    transition, final = stretched_fit_batch(cfg.truth_model, x, ys, cfg.beta)
+    errors = np.column_stack([error1(lsm.predict, truth, x), error2(lsm.predict, truth, x),
+                              error1(final.predict, truth, x), error2(final.predict, truth, x)])
+    return [
+        TrialReport(*row, lsm_fit=lsm[k],
+                    slsm_fit=StretchedFit(cfg.beta, transition[k], final[k]),
+                    seed=(int(cfg.seed), i))
+        for k, (i, row) in enumerate(zip(indices, errors.tolist()))
+    ]
 
 
 def run_trial(cfg: TrialConfig, trial_index: int = 0) -> TrialReport:
-    """One trial: build data, fit both methods, score against the truth."""
-    rng = trial_rng(cfg.seed, trial_index)
-    data = make_noisy_dataset(cfg, rng)
-    truth = cfg.truth_function()
+    """One trial: build data, fit both methods, score against the truth (a batch of one)."""
+    data = make_noisy_dataset(cfg, trial_rng(cfg.seed, trial_index))
+    return _run_batch(cfg, data.x, [trial_index], data.y[None])[0]
 
-    lsm = fit(cfg.truth_model, data)
-    slsm = stretched_fit(cfg.truth_model, data, cfg.beta)
 
-    return TrialReport(
-        lsm_error1=error1(lsm.predict, truth, data.x),
-        lsm_error2=error2(lsm.predict, truth, data.x),
-        slsm_error1=error1(slsm.predict, truth, data.x),
-        slsm_error2=error2(slsm.predict, truth, data.x),
-        lsm_fit=lsm,
-        slsm_fit=slsm,
-        seed=(int(cfg.seed), int(trial_index)),
-    )
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def run_monte_carlo(cfg: TrialConfig, repetitions: int) -> ExperimentReport:
     """Repeat the trial with derived per-trial seeds and aggregate.
 
-    Trial i always draws from the stream (cfg.seed, i), and the trials run
-    and are reduced in index order.
+    Trial i always draws from the stream (cfg.seed, i), in index order; a
+    trial whose draw fails is excluded alone.  The trials that drew their
+    data are then fitted and scored as one batch.  A fit that fails fails
+    the batch and excludes all of them: polynomial trials share one design
+    matrix, so a rank-deficient design is the configuration's failure.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
 
-    trials: list[TrialReport] = []
+    x = np.linspace(*cfg.x_domain, cfg.n)
+    truth = predict(cfg.truth_model, cfg.truth_params, x)
+    indices: list[int] = []
+    rows: list[np.ndarray] = []
     failures: list[tuple[int, str]] = []
     for i in range(repetitions):
         try:
-            trials.append(run_trial(cfg, i))
-        except TRIAL_FAILURE_TYPES as exc:
-            failures.append((i, f"{type(exc).__name__}: {exc}"))
+            rows.append(_add_noise(cfg, truth, trial_rng(cfg.seed, i)))
+        except SamplerFailureError as exc:
+            failures.append((i, _failure(exc)))
+        else:
+            indices.append(i)
 
-    win_rates, ties = [float("nan")] * 2, [0, 0]
+    trials: list[TrialReport] = []
+    if indices:
+        try:
+            trials = _run_batch(cfg, x, indices, np.array(rows))
+        except TRIAL_FAILURE_TYPES as exc:
+            failures = sorted(failures + [(i, _failure(exc)) for i in indices])
+
+    win_rates, ties = [None, None], [0, 0]
     medians: dict[str, float] = {}
     iqrs: dict[str, float] = {}
     if trials:

@@ -1,7 +1,9 @@
 """Least squares engines for the two model families.
 
-Polynomials are fitted in closed form through an orthogonal factorization
-of the Vandermonde design matrix.  Sinusoids a*sin(b*x + c) + d go through
+Both solve a batch: one abscissa vector and a matrix of ordinate rows, one
+fit per row; a single fit is a batch of one.  Polynomials are fitted in
+closed form through an SVD of the Vandermonde design matrix, factored once
+per batch.  Sinusoids a*sin(b*x + c) + d go through
 variable projection: for a fixed frequency b the model is linear in
 (A, B, d) with A sin(bx) + B cos(bx) + d, so the SSE is a one-dimensional
 profile in b (Golub & Pereyra 1973).  The profile's closed form, from the
@@ -9,7 +11,8 @@ centered 2x2 normal equations, is scanned on a fixed frequency grid and
 refined by safeguarded Newton on its analytic derivatives between the best
 grid point's neighbours; the exact linear fit at the refined frequency is
 the result, so the fit needs no further polish.  The scan's sin/cos table
-depends on the abscissas alone and is cached for fits on equal abscissas.
+depends on the abscissas alone and is cached for fits on equal abscissas,
+and a batch of sinusoid fits is a loop over its rows.
 """
 
 from __future__ import annotations
@@ -138,48 +141,92 @@ class FitResult:
         return predict(self.model, self.params, x)
 
 
+@dataclass(frozen=True)
+class FitBatch:
+    """Fits of one model to each ordinate row of a batch on shared abscissas.
+
+    Row i of ``params`` and entry i of ``sse``, ``iterations`` and
+    ``stop_reasons`` describe the fit to row i; ``batch[i]`` is that fit as
+    a FitResult.
+    """
+
+    model: ModelSpec
+    params: np.ndarray
+    sse: np.ndarray
+    iterations: tuple[int, ...]
+    stop_reasons: tuple[str, ...]
+
+    def __getitem__(self, i: int) -> FitResult:
+        return FitResult(self.model, self.params[i], float(self.sse[i]),
+                         self.iterations[i], self.stop_reasons[i])
+
+    def predict(self, x) -> np.ndarray:
+        """Values of every fit at ``x``, one row per fit."""
+        return predict(self.model, self.params, x)
+
+
 def predict(model: ModelSpec, params, x) -> np.ndarray:
     """Evaluate the model elementwise at ``x``.
 
-    Polynomial coefficients are ordered highest degree first and evaluated
-    by Horner's rule.
+    ``params`` is one parameter vector or a stack of them, shape
+    (..., n_params); a stack gives one set of values per vector, shape
+    params.shape[:-1] + x.shape.  Polynomial coefficients are ordered
+    highest degree first and evaluated by Horner's rule.  The arithmetic is
+    elementwise, so every vector's values are the same bits in any stack.
     """
     p = np.asarray(params, dtype=float)
-    if p.size != model.n_params:
+    if p.shape[-1:] != (model.n_params,):
         raise ValueError(
-            f"{model.family} expects {model.n_params} parameters, got {p.size}"
+            f"{model.family} expects {model.n_params} parameters, got shape {p.shape}"
         )
     xv = np.asarray(x, dtype=float)
+    # One array per parameter, broadcasting against x.
+    coeffs = np.moveaxis(p, -1, 0).reshape((model.n_params,) + p.shape[:-1] + (1,) * xv.ndim)
     if model.family == POLYNOMIAL:
-        acc = np.full_like(xv, p[0])
-        for coeff in p[1:]:
-            acc = acc * xv + coeff
+        acc = np.empty(np.broadcast_shapes(coeffs[0].shape, xv.shape))
+        acc[...] = coeffs[0]
+        for coeff in coeffs[1:]:
+            acc *= xv
+            acc += coeff
         return acc
-    a, b, c, d = p
+    a, b, c, d = coeffs
     return a * np.sin(b * xv + c) + d
 
 
-def fit_linear(degree: int, data: Dataset) -> FitResult:
-    """Ordinary least squares for a polynomial of the given degree.
+def fit_linear(degree: int, x: np.ndarray, ys: np.ndarray) -> FitBatch:
+    """Ordinary least squares of a polynomial of the given degree to each row of ``ys``.
 
-    Solved through an SVD-based orthogonal factorization of the Vandermonde
-    matrix rather than normal equations; a rank-deficient design raises
-    SingularFitError.
+    The Vandermonde matrix of ``x`` is factored once by an SVD.  As in
+    np.linalg.lstsq with rcond=None, singular values at most
+    eps * max(n, degree + 1) times the largest count as zero, and a
+    rank-deficient design raises SingularFitError.  The coefficients of all
+    rows are one contraction with the pseudo-inverse, by np.einsum, which
+    computes each row on its own: the rows of a BLAS matrix product change
+    in the last bits with the number of rows, and a row's fit must be the
+    same bits in any batch.
     """
     n_params = degree + 1
-    if len(data) < n_params:
-        raise ValueError(
-            f"degree {degree} needs at least {n_params} points, got {len(data)}"
-        )
-    design = np.vander(data.x, n_params)
-    coeffs, _, rank, _ = np.linalg.lstsq(design, data.y, rcond=None)
+    if x.size < n_params:
+        raise ValueError(f"degree {degree} needs at least {n_params} points, got {x.size}")
+    # The transposed Vandermonde matrix, rows x**degree, ..., x, 1: the same
+    # products as np.vander, which builds it row by row, ten times slower on
+    # long data.
+    powers = np.empty((n_params, x.size))
+    powers[-1] = 1.0
+    for k in range(degree - 1, -1, -1):
+        np.multiply(powers[k + 1], x, out=powers[k])
+    u, s, vt = np.linalg.svd(powers.T, full_matrices=False)
+    rank = int(np.count_nonzero(s > np.finfo(float).eps * max(powers.shape) * s[0]))
     if rank < n_params:
         raise SingularFitError(
             f"design matrix rank {rank} below {n_params}; abscissas are degenerate"
         )
-    residual = design @ coeffs - data.y
     model = ModelSpec.polynomial(degree)
-    return FitResult(model, coeffs, float(residual @ residual), 0, CLOSED_FORM)
+    params = np.einsum("mn,pn->mp", ys, (vt.T / s) @ u.T)
+    residual = predict(model, params, x)
+    residual -= ys
+    sse = np.einsum("mn,mn->m", residual, residual)
+    return FitBatch(model, params, sse, (0,) * len(ys), (CLOSED_FORM,) * len(ys))
 
 
 def canonicalize_sinusoid(params) -> np.ndarray:
@@ -390,8 +437,23 @@ def fit_nonlinear(data: Dataset) -> FitResult:
     return FitResult(model, canonicalize_sinusoid(params), sse, iters, reason)
 
 
-def fit(model: ModelSpec, data: Dataset) -> FitResult:
-    """Dispatch to the family's solver."""
+def fit_batch(model: ModelSpec, x, ys) -> FitBatch:
+    """Fit the model to each row of the matrix ``ys``, all on the abscissas ``x``.
+
+    Dispatches to the family's solver; sinusoid rows are fitted one by one.
+    """
+    x, ys = np.asarray(x, dtype=float), np.asarray(ys, dtype=float)
+    if x.ndim != 1 or ys.ndim != 2 or ys.shape[1] != x.size:
+        raise ValueError("ys must be a matrix whose rows are as long as the one-dimensional x")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(ys))):
+        raise ValueError("observations must be finite")
     if model.family == POLYNOMIAL:
-        return fit_linear(model.degree, data)
-    return fit_nonlinear(data)
+        return fit_linear(model.degree, x, ys)
+    fits = [fit_nonlinear(Dataset(x, y)) for y in ys]
+    return FitBatch(model, np.array([f.params for f in fits]), np.array([f.sse for f in fits]),
+                    tuple(f.iterations for f in fits), tuple(f.stop_reason for f in fits))
+
+
+def fit(model: ModelSpec, data: Dataset) -> FitResult:
+    """Fit the model to one data set: a batch of one."""
+    return fit_batch(model, data.x, data.y[None])[0]

@@ -4,7 +4,8 @@ Stage 1 resets the abscissas to xx = x + x**beta, stage 2 fits the model
 family to (xx_i, y_i) giving the transition curve, and stage 3 refits the
 same family to (x_i, transition(xx_i)), re-expressing the smoothed
 ordinates in the original coordinate.  Predictions of the method are those
-of the stage-3 (final) fit.
+of the stage-3 (final) fit.  Like the fits, the procedure runs on a batch
+of ordinate rows on shared abscissas.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hausdorff import reset_horizontal
-from .lsq import Dataset, FitResult, ModelSpec, SingularFitError, fit, predict
+from .lsq import Dataset, FitBatch, FitResult, ModelSpec, SingularFitError, fit_batch, predict
 
 
 class StageFailure(RuntimeError):
@@ -48,26 +49,33 @@ class StretchedFit:
         return self.final.predict(x)
 
 
-def stretched_fit(model: ModelSpec, data: Dataset, beta: float) -> StretchedFit:
-    """Run the two-stage procedure for one model family and one beta.
+def stretched_fit_batch(model: ModelSpec, x, ys, beta: float) -> tuple[FitBatch, FitBatch]:
+    """Run the two-stage procedure on each row of ``ys``, all on the abscissas ``x``.
 
-    Both stages use the family's global solver, so a sinusoid stage that did
-    not converge comes back flagged by its stop reason rather than raised.
-    Only numerical failures of a stage become StageFailure; invalid input
-    raises as it does from ``fit``.
+    Returns the (transition, final) fits of the rows.  Both stages use the
+    family's global solver, so a sinusoid stage that did not converge comes
+    back flagged by its stop reason rather than raised.  Only numerical
+    failures of a stage become StageFailure; invalid input raises as it
+    does from ``fit_batch``.
     """
-    xx = reset_horizontal(data.x, beta)
+    xx = reset_horizontal(x, beta)
 
     try:
-        transition = fit(model, Dataset(xx, data.y))
+        transition = fit_batch(model, xx, ys)
     except (SingularFitError, np.linalg.LinAlgError) as exc:
         raise StageFailure("transition", exc) from exc
 
     smoothed = predict(model, transition.params, xx)
 
     try:
-        final = fit(model, Dataset(data.x, smoothed))
+        final = fit_batch(model, x, smoothed)
     except (SingularFitError, np.linalg.LinAlgError) as exc:
         raise StageFailure("final", exc) from exc
 
-    return StretchedFit(beta=beta, transition=transition, final=final)
+    return transition, final
+
+
+def stretched_fit(model: ModelSpec, data: Dataset, beta: float) -> StretchedFit:
+    """Run the two-stage procedure for one model family and one beta: a batch of one."""
+    transition, final = stretched_fit_batch(model, data.x, data.y[None], beta)
+    return StretchedFit(beta=beta, transition=transition[0], final=final[0])

@@ -21,7 +21,7 @@ from stretchfit import (
     benchmark_grid,
     error1,
     error2,
-    fit_linear,
+    fit,
     fit_nonlinear,
     fractal_distance,
     hausdorff_derivative,
@@ -126,7 +126,7 @@ def test_criterion_2_normalization():
 
 def test_criterion_3_noiseless_recovery():
     x = np.linspace(0.0, 1.0, 200)
-    quad_fit = fit_linear(2, Dataset(x, predict(ModelSpec.polynomial(2), [1, 1, 2], x)))
+    quad_fit = fit(ModelSpec.polynomial(2), Dataset(x, predict(ModelSpec.polynomial(2), [1, 1, 2], x)))
     poly_gap = float(np.max(np.abs(quad_fit.params - np.array([1.0, 1.0, 2.0]))))
 
     sin_fit = fit_nonlinear(Dataset(x, np.sin(x)))
@@ -146,7 +146,7 @@ def test_criterion_4_beta_one_equivalence():
         coeffs = rng.uniform(-2.0, 2.0, 3)
         y = predict(ModelSpec.polynomial(2), coeffs, x) + rng.normal(0.0, 0.4, n)
         data = Dataset(x, y)
-        plain = fit_linear(2, data)
+        plain = fit(ModelSpec.polynomial(2), data)
         two_stage = stretched_fit(ModelSpec.polynomial(2), data, 1.0)
         worst = max(worst, float(np.max(np.abs(two_stage.predict(x) - plain.predict(x)))))
     ok = report(4, "beta=1 equivalence", worst <= 1e-8,

@@ -6,12 +6,27 @@ import re
 import numpy as np
 import pytest
 
-from stretchfit import grid_config, run_trial
+import stretchfit.experiment as experiment
+from stretchfit import SamplerFailureError, grid_config, run_trial
 from stretchfit.cli import main
 
 from kstools import ks_crit_two_sample, ks_two_sample
 
 FLOAT_CELL = re.compile(r"-?(\d+\.\d*|\.\d+|\d+e[+-]?\d+|\d+\.\d*e[+-]?\d+)", re.IGNORECASE)
+
+
+def strict_json(text):
+    """Parse ``text`` as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.fixture
+def failing_sampler(monkeypatch):
+    def fail(*args, **kwargs):
+        raise SamplerFailureError("synthetic failure")
+    monkeypatch.setattr(experiment, "sample_rejection", fail)
 
 
 def read_sample_file(path):
@@ -215,6 +230,15 @@ class TestExperiment:
         assert "threads must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_all_trials_failed_writes_null_win_rates(self, tmp_path, failing_sampler):
+        out = tmp_path / "report.json"
+        code = main(["experiment", "--model", "poly", "--beta", "0.4", "--eta", "30",
+                     "--reps", "3", "--out", str(out)])
+        assert code == 0
+        report = strict_json(out.read_text())
+        assert report["excluded"] == 3 and report["trials"] == []
+        assert report["win_rate_error1"] is None and report["win_rate_error2"] is None
+
     def test_round_trips(self, tmp_path):
         out = tmp_path / "report.json"
         main(["experiment", "--model", "poly", "--beta", "0.8", "--eta", "50",
@@ -250,6 +274,14 @@ class TestTables:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["manifest"]["config"]["reps"] == 8
         assert "poly:b0.4:e30" in manifest["summaries"]
+
+    def test_all_trials_failed_is_numerical_failure(self, tmp_path, capsys, failing_sampler):
+        code = main(["tables", "--configs", "poly:b0.4:e30", "--reps", "3",
+                     "--out", str(tmp_path / "t")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "poly:b0.4:e30" in err and "synthetic failure" in err
+        assert "Traceback" not in err
 
     def test_unknown_config_rejected(self, tmp_path, capsys):
         code = main(["tables", "--configs", "poly:b0.9:e30", "--out", str(tmp_path / "t")])
@@ -288,6 +320,18 @@ class TestConfigFile:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["manifest"]["config"]["reps"] == 4
         assert manifest["manifest"]["seed"] == 5
+
+    def test_config_does_not_outlive_its_call(self, tmp_path):
+        # The parser is built once per process; a --config file must not
+        # leave its defaults in it for the next call.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"reps": 4, "seed": 5}))
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["tables", "--configs", "poly:b0.4:e30", "--out", str(first),
+                     "--config", str(cfg)]) == 0
+        assert main(["tables", "--configs", "poly:b0.4:e30", "--out", str(second)]) == 0
+        manifest = strict_json((second / "manifest.json").read_text())["manifest"]
+        assert (manifest["config"]["reps"], manifest["seed"]) == (100, 0)
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

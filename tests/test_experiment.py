@@ -1,5 +1,6 @@
 """Noisy data generation, error metrics, trials, and the Monte Carlo loop."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import stretchfit.experiment as experiment
 import stretchfit.lsq as lsq
 from stretchfit import (
+    SamplerFailureError,
     SingularFitError,
     grid_config,
     error1,
@@ -169,16 +171,31 @@ class TestRunMonteCarlo:
         assert run_monte_carlo(poly_config(seed=0), repetitions=20).ties_error2 == 0
 
     @pytest.mark.parametrize("family, seed, counts", [
-        ("poly", 6, (10, 20)),
+        ("poly", 6, (1, 7, 100, 250)),
         ("sin", 6, (1, 7, 14)),
     ], ids=["poly", "sin"])
     def test_prefix_stability_when_doubling(self, family, seed, counts):
+        # The trials are fitted as one batch: each trial's errors and fits
+        # must be the same bits whatever the batch's size.
         cfg = grid_config(family, 0.4, 30.0, seed=seed)
         *shorter, longest = [run_monte_carlo(cfg, repetitions=r) for r in counts]
         for short in shorter:
             for a, b in zip(short.trials, longest.trials):
                 assert a.errors() == b.errors()
                 assert a.seed == b.seed
+            assert fit_summaries(short) == fit_summaries(longest)[:3 * len(short.trials)]
+
+    def test_batch_errors_match_single_trials(self):
+        cfg = poly_config(seed=12)
+        report = run_monte_carlo(cfg, repetitions=7)
+        for t in report.trials:
+            single = run_trial(cfg, t.seed[1])
+            assert single.errors() == t.errors()
+            assert single.slsm_fit.final.params.tobytes() == t.slsm_fit.final.params.tobytes()
+            data = make_noisy_dataset(cfg, trial_rng(*t.seed))
+            truth = cfg.truth_function()
+            assert t.lsm_error1 == error1(t.lsm_fit.predict, truth, data.x)
+            assert t.slsm_error2 == error2(t.slsm_fit.predict, truth, data.x)
 
     def test_scan_cache_does_not_change_sinusoid_report(self):
         cfg = grid_config("sin", 0.8, 50.0, seed=11)
@@ -207,20 +224,39 @@ class TestRunMonteCarlo:
             assert getattr(report, f"ties_{metric}") == ties
 
     def test_failures_excluded_and_counted(self, monkeypatch):
-        real = experiment.run_trial
+        # Trials draw their noise in index order, one sampler call each, so
+        # every third call is trial 0, 3, 6 or 9; each failure excludes only
+        # its own trial and leaves the others' results unchanged.
+        cfg = poly_config(seed=9)
+        clean = run_monte_carlo(cfg, repetitions=12)
+        real = experiment.sample_rejection
+        calls = itertools.count()
 
-        def flaky(cfg, trial_index=0):
-            if trial_index % 3 == 0:
-                raise SingularFitError("synthetic failure")
-            return real(cfg, trial_index)
+        def flaky(*args, **kwargs):
+            if next(calls) % 3 == 0:
+                raise SamplerFailureError("synthetic failure")
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(experiment, "run_trial", flaky)
-        report = run_monte_carlo(poly_config(seed=9), repetitions=12)
-        assert len(report.failures) == 4
+        monkeypatch.setattr(experiment, "sample_rejection", flaky)
+        report = run_monte_carlo(cfg, repetitions=12)
+        assert [i for i, _ in report.failures] == [0, 3, 6, 9]
         assert len(report.trials) == 8
         assert all("synthetic failure" in msg for _, msg in report.failures)
+        kept = [t for t in clean.trials if t.seed[1] % 3]
+        assert [t.errors() for t in report.trials] == [t.errors() for t in kept]
         wins2 = sum(t.slsm_error2 < t.lsm_error2 for t in report.trials)
         assert report.win_rate_error2 == wins2 / 8
+
+    def test_fit_failure_excludes_every_trial(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise SingularFitError("synthetic failure")
+
+        monkeypatch.setattr(experiment, "fit_batch", singular)
+        report = run_monte_carlo(poly_config(seed=9), repetitions=5)
+        assert report.trials == ()
+        assert [i for i, _ in report.failures] == [0, 1, 2, 3, 4]
+        assert (report.win_rate_error1, report.win_rate_error2) == (None, None)
+        assert report.medians == report.iqrs == {}
 
     def test_zero_noise_outcome_is_deterministic(self):
         cfg = grid_config("poly", 1.0, 0.0, seed=10)

@@ -13,7 +13,7 @@ from stretchfit import (
     ModelSpec,
     SingularFitError,
     canonicalize_sinusoid,
-    fit_linear,
+    fit,
     fit_nonlinear,
     predict,
 )
@@ -120,25 +120,25 @@ class TestPredict:
 class TestFitLinear:
     def test_exact_quadratic_recovery(self):
         x = np.linspace(0.0, 1.0, 200)
-        fit = fit_linear(2, Dataset(x, x**2 + x + 2.0))
-        np.testing.assert_allclose(fit.params, [1.0, 1.0, 2.0], atol=1e-8)
-        assert fit.converged
+        result = fit(ModelSpec.polynomial(2), Dataset(x, x**2 + x + 2.0))
+        np.testing.assert_allclose(result.params, [1.0, 1.0, 2.0], atol=1e-8)
+        assert result.converged
 
     def test_degree_zero_is_mean(self):
-        fit = fit_linear(0, Dataset([0.0, 1.0, 2.0, 7.0], [5.0, 5.0, 5.0, 5.0]))
-        np.testing.assert_allclose(fit.params, [5.0], atol=1e-14)
+        result = fit(ModelSpec.polynomial(0), Dataset([0.0, 1.0, 2.0, 7.0], [5.0, 5.0, 5.0, 5.0]))
+        np.testing.assert_allclose(result.params, [5.0], atol=1e-14)
 
     def test_two_point_line(self):
-        fit = fit_linear(1, Dataset([0.0, 1.0], [1.0, 3.0]))
-        np.testing.assert_allclose(fit.params, [2.0, 1.0], atol=1e-12)
+        result = fit(ModelSpec.polynomial(1), Dataset([0.0, 1.0], [1.0, 3.0]))
+        np.testing.assert_allclose(result.params, [2.0, 1.0], atol=1e-12)
 
     def test_residual_orthogonal_to_design(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(0.0, 2.0, 120)
         y = 0.5 * x**2 - x + 0.3 + rng.normal(0.0, 0.4, x.size)
-        fit = fit_linear(2, Dataset(x, y))
+        result = fit(ModelSpec.polynomial(2), Dataset(x, y))
         design = np.vander(x, 3)
-        residual = design @ fit.params - y
+        residual = design @ result.params - y
         scale = np.linalg.norm(residual) * np.linalg.norm(design, axis=0)
         assert np.all(np.abs(design.T @ residual) <= 1e-8 * np.maximum(scale, 1.0))
 
@@ -146,16 +146,16 @@ class TestFitLinear:
         rng = np.random.default_rng(9)
         x = rng.uniform(0.0, 1.0, 80)
         y = x**2 + x + 2.0 + rng.normal(0.0, 0.2, x.size)
-        fit = fit_linear(2, Dataset(x, y))
+        result = fit(ModelSpec.polynomial(2), Dataset(x, y))
 
         def sse(p):
-            r = predict(fit.model, p, x) - y
+            r = predict(result.model, p, x) - y
             return r @ r
 
-        base = sse(fit.params)
+        base = sse(result.params)
         for j in range(3):
             for delta in (1e-4, -1e-4):
-                bumped = fit.params.copy()
+                bumped = result.params.copy()
                 bumped[j] += delta
                 assert sse(bumped) > base
 
@@ -165,23 +165,23 @@ class TestFitLinear:
         truth = np.array([0.7, -1.2, 0.4])
         y = predict(ModelSpec.polynomial(2), truth, x)
         perm = rng.permutation(x.size)
-        fit = fit_linear(2, Dataset(x[perm], y[perm]))
-        np.testing.assert_allclose(fit.predict(x), y, atol=1e-8)
+        result = fit(ModelSpec.polynomial(2), Dataset(x[perm], y[perm]))
+        np.testing.assert_allclose(result.predict(x), y, atol=1e-8)
 
     def test_rank_deficient_design_rejected(self):
         with pytest.raises(SingularFitError):
-            fit_linear(1, Dataset([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
+            fit(ModelSpec.polynomial(1), Dataset([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            fit_linear(2, Dataset([0.0, 1.0], [1.0, 2.0]))
+            fit(ModelSpec.polynomial(2), Dataset([0.0, 1.0], [1.0, 2.0]))
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
         x = rng.uniform(0.0, 1.0, 90)
         y = rng.normal(0.0, 1.0, 90)
-        a = fit_linear(3, Dataset(x, y))
-        b = fit_linear(3, Dataset(x, y))
+        a = fit(ModelSpec.polynomial(3), Dataset(x, y))
+        b = fit(ModelSpec.polynomial(3), Dataset(x, y))
         assert a.params.tobytes() == b.params.tobytes()
         assert a.sse == b.sse
 
@@ -394,6 +394,55 @@ class TestProfileKernels:
         lsq._scan_table.cache_clear()
         fit_nonlinear(Dataset(x, y))
         assert lsq._scan_table.cache_info().currsize == 0
+
+
+class TestFitBatch:
+    """A batch fits every ordinate row on shared abscissas; a single fit is a batch of one."""
+
+    @staticmethod
+    def rows(x, m, seed):
+        return np.sin(3.0 * x) + x**2 + np.random.default_rng(seed).normal(0.0, 0.3, (m, x.size))
+
+    @pytest.mark.parametrize("model", [ModelSpec.polynomial(2), ModelSpec.sinusoid()],
+                             ids=["poly", "sin"])
+    def test_single_fit_equals_batch_row(self, model):
+        x = np.linspace(0.0, 1.0, 200)
+        ys = self.rows(x, 5, 67)
+        batch = lsq.fit_batch(model, x, ys)
+        for i, y in enumerate(ys):
+            single, row = fit(model, Dataset(x, y)), batch[i]
+            assert single.params.tobytes() == row.params.tobytes()
+            assert (single.sse, single.iterations, single.stop_reason) == (
+                row.sse, row.iterations, row.stop_reason)
+            assert single.predict(x).tobytes() == batch.predict(x)[i].tobytes()
+
+    def test_polynomial_rows_do_not_depend_on_batch_size(self):
+        # A BLAS matrix product changes a row's last bits with the row count.
+        x = np.linspace(0.0, 1.0, 200)
+        ys = self.rows(x, 250, 71)
+        full = lsq.fit_linear(2, x, ys)
+        for m in (1, 2, 3, 7, 100):
+            part = lsq.fit_linear(2, x, ys[:m].copy())
+            assert part.params.tobytes() == full.params[:m].tobytes()
+            assert part.sse.tobytes() == full.sse[:m].tobytes()
+
+    @pytest.mark.parametrize("beta", [None, 0.4, 0.8], ids=["x", "xx0.4", "xx0.8"])
+    def test_polynomial_batch_matches_lstsq(self, beta):
+        x = np.linspace(0.0, 1.0, 200)
+        xs = x if beta is None else x + x**beta
+        ys = self.rows(x, 40, 73)
+        batch = lsq.fit_linear(2, xs, ys)
+        design = np.vander(xs, 3)
+        for params, sse, y in zip(batch.params, batch.sse, ys):
+            want, (want_sse,), *_ = np.linalg.lstsq(design, y, rcond=None)
+            assert np.linalg.norm(params - want) <= 1e-10 * np.linalg.norm(want)
+            assert sse == pytest.approx(want_sse, rel=1e-10)
+
+    def test_bad_shapes_rejected(self):
+        x = np.linspace(0.0, 1.0, 10)
+        for ys in (np.zeros(10), np.zeros((2, 9)), np.full((2, 10), np.nan)):
+            with pytest.raises(ValueError):
+                lsq.fit_batch(ModelSpec.polynomial(1), x, ys)
 
 
 class TestFitDispatch:

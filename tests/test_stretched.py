@@ -9,7 +9,7 @@ from stretchfit import (
     Dataset,
     ModelSpec,
     StageFailure,
-    fit_linear,
+    fit,
     predict,
     stretched_fit,
 )
@@ -29,7 +29,7 @@ class TestBetaOneEquivalence:
         # affine reparametrization, so the pipeline reproduces plain LSM.
         for seed in range(10):
             data = noisy_quadratic(seed)
-            plain = fit_linear(2, data)
+            plain = fit(ModelSpec.polynomial(2), data)
             two_stage = stretched_fit(ModelSpec.polynomial(2), data, 1.0)
             np.testing.assert_allclose(
                 two_stage.predict(data.x), plain.predict(data.x), atol=1e-8)
@@ -39,7 +39,7 @@ class TestBetaOneEquivalence:
         rng = np.random.default_rng(100 + degree)
         x = np.sort(rng.uniform(0.0, 2.0, 80))
         y = rng.normal(0.0, 1.0, 80)
-        plain = fit_linear(degree, Dataset(x, y))
+        plain = fit(ModelSpec.polynomial(degree), Dataset(x, y))
         two_stage = stretched_fit(ModelSpec.polynomial(degree), Dataset(x, y), 1.0)
         np.testing.assert_allclose(
             two_stage.predict(x), plain.predict(x), atol=1e-8)
@@ -58,11 +58,11 @@ class TestStageContracts:
         assert result.transition.model == result.final.model
         # Stage 2 solves on the transformed abscissas:
         xx = data.x + data.x**0.4
-        refit = fit_linear(2, Dataset(xx, data.y))
+        refit = fit(ModelSpec.polynomial(2), Dataset(xx, data.y))
         np.testing.assert_allclose(result.transition.params, refit.params, rtol=1e-12)
         # Stage 3 solves on the original abscissas against smoothed ordinates:
         smoothed = predict(result.transition.model, result.transition.params, xx)
-        refit3 = fit_linear(2, Dataset(data.x, smoothed))
+        refit3 = fit(ModelSpec.polynomial(2), Dataset(data.x, smoothed))
         np.testing.assert_allclose(result.final.params, refit3.params, rtol=1e-12)
 
     def test_stage_optimality_gradients(self):
