@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -127,35 +128,33 @@ def _parse_model(token: str) -> ModelSpec:
 
 
 def _read_xy_csv(path: Path) -> Dataset:
+    """Columns 0 and 1 of a comma-separated file; see README *Fit input*."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        with open(path, encoding="utf-8") as f:
+            if f.readline().strip().split(",")[:2] != ["x", "y"]:
+                f.seek(0)
+            with warnings.catch_warnings():
+                # An empty file is reported below, not as a warning.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                # lstrip lets numpy skip whitespace-only and indented comment lines.
+                xy = np.loadtxt(map(str.lstrip, f), delimiter=",", comments="#",
+                                usecols=(0, 1), ndmin=2)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    xs, ys = [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        cells = line.split(",")
-        if lineno == 1 and cells[:2] == ["x", "y"]:
-            continue
-        if len(cells) < 2:
-            raise ValueError(f"{path}:{lineno}: expected two comma-separated columns")
-        try:
-            xs.append(float(cells[0]))
-            ys.append(float(cells[1]))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
-    if not xs:
+    except ValueError as exc:
+        raise ValueError(f"{path}: non-numeric cell or missing column: {exc}") from exc
+    if not xy.size:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(np.asarray(xs), np.asarray(ys))
+    # Contiguous copies: strided column views would change the fits' summation order.
+    x, y = xy.T.copy()
+    return Dataset(x, y)
 
 
 def cmd_fit(args) -> int:
-    data = _read_xy_csv(Path(args.input))
     model = _parse_model(args.model)
     if args.method == "stretched" and args.beta is None:
         raise ValueError("--beta is required with --method stretched")
+    data = _read_xy_csv(Path(args.input))
 
     out = Path(args.out or "fit.json")
     manifest = RunManifest(

@@ -11,6 +11,7 @@ whose rows are computed independently of the batch size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -68,13 +69,14 @@ class TrialConfig:
                 f"n = {self.n} is below the model's parameter count "
                 f"{self.truth_model.n_params}"
             )
-        if self.eta < 0.0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        if not (0.0 <= self.eta < math.inf):
+            raise ValueError(f"eta must be finite and nonnegative, got {self.eta}")
         if not (0.0 < self.beta <= 1.0):
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
         lo, hi = self.x_domain
-        if lo < 0.0 or hi <= lo:
-            raise ValueError(f"x_domain must be a nonnegative interval, got {self.x_domain}")
+        if not (0.0 <= lo < hi < math.inf):
+            raise ValueError(
+                f"x_domain must be a finite nonnegative interval, got {self.x_domain}")
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must fit an unsigned 64-bit integer")
 

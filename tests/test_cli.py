@@ -2,13 +2,14 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import stretchfit.experiment as experiment
-from stretchfit import SamplerFailureError, grid_config, run_trial
-from stretchfit.cli import main
+from stretchfit import Dataset, ModelSpec, SamplerFailureError, grid_config, run_trial, stretched_fit
+from stretchfit.cli import _read_xy_csv, main
 
 from kstools import ks_crit_two_sample, ks_two_sample
 
@@ -145,12 +146,23 @@ class TestFit:
         code = main(["fit", "--input", str(path), "--model", "poly1",
                      "--out", str(tmp_path / "f.json")])
         assert code == 2
-        assert "non-numeric" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-numeric" in err
+        assert str(path) in err
 
     def test_stretched_requires_beta(self, tmp_path, quadratic_csv):
         code = main(["fit", "--input", str(quadratic_csv), "--model", "poly2",
                      "--method", "stretched", "--out", str(tmp_path / "f.json")])
         assert code == 2
+
+    def test_usage_checked_before_input_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        code = main(["fit", "--input", missing, "--model", "poly2",
+                     "--method", "stretched", "--out", str(tmp_path / "f.json")])
+        assert code == 2
+        assert "--beta" in capsys.readouterr().err
+        assert main(["fit", "--input", missing, "--model", "cubic"]) == 2
+        assert "unknown model" in capsys.readouterr().err
 
     def test_rank_deficient_is_numerical_failure(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
@@ -180,6 +192,93 @@ class TestFit:
         out = tmp_path / "f.json"
         assert main(["fit", "--input", str(path), "--model", "poly1", "--out", str(out)]) == 0
         np.testing.assert_allclose(json.loads(out.read_text())["params"], [2.0, 1.0], atol=1e-10)
+
+
+class TestFitInput:
+    """The `fit` reader: numpy's parser must agree with Python's float()."""
+
+    def test_repr_doubles_parse_bit_equal_to_float(self, tmp_path):
+        rng = np.random.default_rng(12)
+        x = np.sort(rng.uniform(0.0, 3.0, 2000))
+        y = 1.5 * x**2 - x + 2.0 + 0.3 * rng.laplace(size=x.size)
+        path = tmp_path / "data.csv"
+        path.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+        cells = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        xs = [float(a) for a, _ in cells]
+        ys = [float(b) for _, b in cells]
+        data = _read_xy_csv(path)
+        for got, want in ((data.x, xs), (data.y, ys)):
+            assert got.flags.c_contiguous
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.array(want).tobytes()
+
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--input", str(path), "--model", "poly2", "--method", "stretched",
+                     "--beta", "0.4", "--out", str(out)]) == 0
+        expected = stretched_fit(ModelSpec.polynomial(2), Dataset(np.array(xs), np.array(ys)), 0.4)
+        assert json.loads(out.read_text())["params"] == expected.final.params.tolist()
+
+    def test_extreme_doubles_parse_bit_equal_to_float(self, tmp_path):
+        values = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e+308,
+                  0.1, 1 / 3, -123456789.12345679, 9007199254740993.0, 1e22, 1e23]
+        cells = [repr(v) for v in values] + ["1E5", "+2.5", ".5", "5.", "-1e-7", "007"]
+        path = tmp_path / "extreme.csv"
+        path.write_text("".join(f"{c},{c}\n" for c in cells))
+        want = np.array([float(c) for c in cells])
+        data = _read_xy_csv(path)
+        assert data.x.tobytes() == want.tobytes()
+        assert data.y.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text, x, y", [
+        ("x,y\n0,1\n1,3\n", [0.0, 1.0], [1.0, 3.0]),
+        ("x,y\n\n0,1\n   \n\t\n1,3\n\n", [0.0, 1.0], [1.0, 3.0]),
+        ("# title\n0,1\n# whole line\n  # indented\n1,3\n", [0.0, 1.0], [1.0, 3.0]),
+        ("x,y\r\n0,1\r\n\r\n1,3\r\n", [0.0, 1.0], [1.0, 3.0]),
+        ("x,y,w\n0,1,a\n1,3\n2,5,6,7\n", [0.0, 1.0, 2.0], [1.0, 3.0, 5.0]),
+        ("  0 , 1 \n1,3", [0.0, 1.0], [1.0, 3.0]),
+        ("x,y\n2.5,7\n", [2.5], [7.0]),
+    ], ids=["header", "blank-lines", "comments", "crlf", "extra-columns", "padded-cells",
+            "single-row"])
+    def test_accepted_layouts(self, tmp_path, text, x, y):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        data = _read_xy_csv(path)
+        assert data.x.tolist() == x
+        assert data.y.tolist() == y
+        assert main(["fit", "--input", str(path), "--model", "poly0",
+                     "--out", str(tmp_path / "f.json")]) == 0
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,y\n0,1\n2\n", "missing column"),
+        ("x,y\n0,1\n2,\n", "non-numeric"),
+        ("x,y\n0,zero\n", "non-numeric"),
+        ("\nx,y\n0,1\n", "non-numeric"),
+        ("x,y\n1_000,1\n", "non-numeric"),
+        ("x,y\n", "no data rows"),
+        ("", "no data rows"),
+        ("# only a comment\n\n  \n", "no data rows"),
+        ("x,y\n0,1\n1,nan\n", "finite"),
+        ("x,y\n0,1\ninf,1\n", "finite"),
+    ], ids=["short-row", "empty-cell", "non-numeric", "late-header", "underscore-numeral",
+            "header-only", "empty", "comments-only", "nan", "inf"])
+    def test_rejected_inputs(self, tmp_path, capsys, text, message):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", "--input", str(path), "--model", "poly0",
+                         "--out", str(tmp_path / "f.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        if message != "finite":
+            assert str(path) in err
+
+    def test_undecodable_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("x,y\n0,1\n1,\xe9\n".encode("latin-1"))
+        assert main(["fit", "--input", str(path), "--model", "poly0"]) == 2
+        assert f"cannot read {path}" in capsys.readouterr().err
 
 
 class TestExperiment:
@@ -229,6 +328,16 @@ class TestExperiment:
         assert code == 2
         assert "threads must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("option, value", [("--eta", "nan"), ("--eta", "inf"),
+                                               ("--xmax", "inf"), ("--xmax", "nan")])
+    def test_non_finite_config_is_usage_error(self, tmp_path, capsys, option, value):
+        # The later of two equal options wins, so this replaces --eta 30.
+        code = main(["experiment", "--model", "poly", "--beta", "0.4", "--eta", "30",
+                     "--reps", "2", "--out", str(tmp_path / "r.json"), option, value])
+        assert code == 2
+        assert value in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_all_trials_failed_writes_null_win_rates(self, tmp_path, failing_sampler):
         out = tmp_path / "report.json"
