@@ -127,22 +127,53 @@ def _parse_model(token: str) -> ModelSpec:
     raise ValueError(f"unknown model {token!r}; expected 'sin' or 'poly<degree>'")
 
 
+def _xy_rows(lines) -> np.ndarray:
+    """Columns 0 and 1 of ``lines`` as an (m, 2) array; ValueError on a bad row."""
+    # lstrip lets numpy skip whitespace-only and indented comment lines.
+    return np.loadtxt(map(str.lstrip, lines), delimiter=",", comments="#",
+                      usecols=(0, 1), ndmin=2)
+
+
+def _problem(lines) -> str | None:
+    """Why ``lines`` of a fit input are rejected; None when every row parses finite."""
+    try:
+        rows = _xy_rows(lines)
+    except ValueError:
+        return "non-numeric cell or missing column"
+    return None if np.isfinite(rows).all() else "non-finite cell"
+
+
+def _first_bad_line(lines: list[str], start: int) -> tuple[int, str]:
+    """1-based number of the first of ``lines[start:]`` that is rejected, and why.
+
+    Blocks of lines are parsed whole first, so only one block is parsed line by line.
+    """
+    block = 1024
+    lo = next(lo for lo in range(start, len(lines), block) if _problem(lines[lo:lo + block]))
+    return next((k + 1, _problem(lines[k:k + 1])) for k in range(lo, len(lines))
+                if _problem(lines[k:k + 1]))
+
+
 def _read_xy_csv(path: Path) -> Dataset:
     """Columns 0 and 1 of a comma-separated file; see README *Fit input*."""
     try:
-        with open(path, encoding="utf-8") as f:
-            if f.readline().strip().split(",")[:2] != ["x", "y"]:
+        with open(path, encoding="utf-8") as f, warnings.catch_warnings():
+            # An empty file (or line) is reported below, not as a warning.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            header = f.readline().strip().split(",")[:2] == ["x", "y"]
+            if not header:
                 f.seek(0)
-            with warnings.catch_warnings():
-                # An empty file is reported below, not as a warning.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                # lstrip lets numpy skip whitespace-only and indented comment lines.
-                xy = np.loadtxt(map(str.lstrip, f), delimiter=",", comments="#",
-                                usecols=(0, 1), ndmin=2)
+            try:
+                xy = _xy_rows(f)
+            except ValueError:
+                xy = None
+            if xy is None or not np.isfinite(xy).all():
+                # Error path only: parse the file again to name the bad line.
+                f.seek(0)
+                line, problem = _first_bad_line(f.readlines(), int(header))
+                raise ValueError(f"{path}:{line}: {problem}")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric cell or missing column: {exc}") from exc
     if not xy.size:
         raise ValueError(f"{path}: no data rows")
     # Contiguous copies: strided column views would change the fits' summation order.

@@ -16,17 +16,18 @@ against each other.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-# Hard budget of proposal rounds per draw; exceeding it signals a broken
-# envelope rather than an unlucky stream.
+# Hard budget of proposal rounds per sampler call, shared by the rows of a
+# batch; exceeding it signals a broken envelope rather than an unlucky stream.
 REJECTION_PROPOSAL_CAP = 10_000
 
 
 class SamplerFailureError(RuntimeError):
-    """Acceptance-rejection exceeded its per-draw proposal budget."""
+    """Acceptance-rejection exceeded its budget of proposal rounds."""
 
 
 class DegenerateScaleError(ValueError):
@@ -114,9 +115,9 @@ def absolute_moment(law: StretchedGaussian, k: int) -> float:
 
 
 def _attach_sign_and_scale(law: StretchedGaussian, gamma_draws: np.ndarray,
-                           rng: np.random.Generator) -> np.ndarray:
-    signs = rng.integers(0, 2, gamma_draws.size) * 2 - 1
-    return signs * (law.scale * gamma_draws) ** (1.0 / (2.0 * law.beta))
+                           bits: np.ndarray) -> np.ndarray:
+    """Variates of the law from Gamma draws and sign bits of the same shape."""
+    return (bits * 2 - 1) * (law.scale * gamma_draws) ** (1.0 / (2.0 * law.beta))
 
 
 def sample_exact(law: StretchedGaussian, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -124,7 +125,7 @@ def sample_exact(law: StretchedGaussian, rng: np.random.Generator, n: int) -> np
     if n < 1:
         raise ValueError(f"sample count must be at least 1, got {n}")
     g = rng.gamma(law.gamma_shape, 1.0, n)
-    return _attach_sign_and_scale(law, g, rng)
+    return _attach_sign_and_scale(law, g, rng.integers(0, 2, n))
 
 
 @dataclass(frozen=True)
@@ -139,30 +140,39 @@ class RejectionStats:
         return self.accepted / self.proposals if self.proposals else float("nan")
 
 
-def _gamma_rejection(shape: float, rng: np.random.Generator, n: int) -> tuple[np.ndarray, int]:
-    """Gamma(shape, 1) draws for shape >= 1 by squeeze-type rejection.
+def _gamma_rejection(shape: float, rngs: list[np.random.Generator],
+                     n: int) -> tuple[np.ndarray, int]:
+    """Gamma(shape, 1) draws for shape >= 1 by squeeze-type rejection, a row per generator.
 
     Proposes z ~ N(0,1), forms v = (1 + z/sqrt(9d))**3 with d = shape - 1/3,
     and accepts d*v when u < 1 - 0.0331 z**4 (fast squeeze) or when
-    log u < z**2/2 + d (1 - v + log v).  Returns draws plus the total
-    proposal count.
+    log u < z**2/2 + d (1 - v + log v).  Each round asks the generator of
+    every unfilled row for as many normals, then uniforms, as the row
+    lacks, so a row never depends on the others.  The tests run once over
+    the round's proposals, and each accepted value goes to the next free
+    slot of its row.  Returns the draws plus the total proposal count.
     """
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(n)
-    filled = 0
+    out = np.empty((len(rngs), n))
+    filled = np.zeros(len(rngs), dtype=np.intp)
+    pending = np.arange(len(rngs))
     proposals = 0
     rounds = 0
-    while filled < n:
+    while pending.size:
         rounds += 1
         if rounds > REJECTION_PROPOSAL_CAP:
             raise SamplerFailureError(
                 f"no acceptance after {REJECTION_PROPOSAL_CAP} proposal rounds "
                 f"(shape={shape}); envelope constants are broken"
             )
-        m = n - filled
-        z = rng.standard_normal(m)
-        u = rng.random(m)
+        wanted = n - filled[pending]
+        ends = np.cumsum(wanted)
+        z = np.empty(ends[-1])
+        u = np.empty(ends[-1])
+        for j, lo, hi in zip(pending.tolist(), (ends - wanted).tolist(), ends.tolist()):
+            rngs[j].standard_normal(out=z[lo:hi])
+            rngs[j].random(out=u[lo:hi])
         v = (1.0 + c * z) ** 3
         positive = v > 0.0
         accept = positive & (u < 1.0 - 0.0331 * z**4)
@@ -170,46 +180,61 @@ def _gamma_rejection(shape: float, rng: np.random.Generator, n: int) -> tuple[np
         if np.any(slow):
             zs, vs = z[slow], v[slow]
             accept[slow] = np.log(u[slow]) < 0.5 * zs**2 + d * (1.0 - vs + np.log(vs))
-        k = int(np.count_nonzero(accept))
-        out[filled:filled + k] = d * v[accept]
+        # Proposals come row by row, so a row's accepted values are contiguous
+        # in ``rows`` and keep their order; rank them within the row.
+        rows = np.repeat(pending, wanted)[accept]
+        k = np.bincount(rows, minlength=len(rngs))
+        rank = np.arange(rows.size) - (np.cumsum(k) - k)[rows]
+        out[rows, filled[rows] + rank] = d * v[accept]
         filled += k
-        proposals += m
+        proposals += int(ends[-1])
+        pending = np.flatnonzero(filled < n)
     return out, proposals
 
 
-def sample_rejection(law: StretchedGaussian, rng: np.random.Generator, n: int,
+def sample_rejection(law: StretchedGaussian,
+                     rng: np.random.Generator | Sequence[np.random.Generator], n: int,
                      return_stats: bool = False):
     """Draw ``n`` variates via acceptance-rejection at the Gamma level.
 
     For shapes below one the boosting identity G_a = G_(a+1) * U**(1/a)
     lifts the rejection to shape a + 1, which keeps a single envelope valid
-    for every beta in (0, 1].  With ``return_stats`` the proposal ledger is
-    returned alongside the draws.
+    for every beta in (0, 1].  ``rng`` is a generator, or a sequence of
+    generators for a batch: then each draws one row of the ``(len(rng), n)``
+    result, with the same bits it would give alone.  With ``return_stats``
+    the proposal ledger of the whole batch is returned alongside the draws.
     """
     if n < 1:
         raise ValueError(f"sample count must be at least 1, got {n}")
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    if not rngs:
+        raise ValueError("a batch needs at least one generator")
     a = law.gamma_shape
     if a >= 1.0:
-        g, proposals = _gamma_rejection(a, rng, n)
+        g, proposals = _gamma_rejection(a, rngs, n)
     else:
-        g, proposals = _gamma_rejection(a + 1.0, rng, n)
-        g = g * rng.random(n) ** (1.0 / a)
-    samples = _attach_sign_and_scale(law, g, rng)
+        g, proposals = _gamma_rejection(a + 1.0, rngs, n)
+        g = g * np.array([r.random(n) for r in rngs]) ** (1.0 / a)
+    samples = _attach_sign_and_scale(law, g, np.array([r.integers(0, 2, n) for r in rngs]))
+    if single:
+        samples = samples[0]
     if return_stats:
-        return samples, RejectionStats(proposals=proposals, accepted=n)
+        return samples, RejectionStats(proposals=proposals, accepted=samples.size)
     return samples
 
 
 def standardize(samples) -> np.ndarray:
     """Center to sample mean 0 and scale to sample standard deviation 1.
 
-    The (n-1)-divisor convention is used.  Constant input has no defined
-    scale and raises DegenerateScaleError.
+    A 2-D input is standardized row by row.  The (n-1)-divisor convention
+    is used.  A constant row has no defined scale and raises
+    DegenerateScaleError.
     """
     v = np.asarray(samples, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise ValueError("standardize requires a vector of at least 2 samples")
-    sd = v.std(ddof=1)
-    if not sd > 0.0:
+    if v.ndim not in (1, 2) or v.shape[-1] < 2:
+        raise ValueError("standardize requires vectors of at least 2 samples")
+    sd = v.std(axis=-1, ddof=1, keepdims=True)
+    if not np.all(sd > 0.0):
         raise DegenerateScaleError("cannot standardize a constant sample")
-    return (v - v.mean()) / sd
+    return (v - v.mean(axis=-1, keepdims=True)) / sd

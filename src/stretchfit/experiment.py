@@ -33,11 +33,10 @@ from .lsq import (
 )
 from .stretched import StageFailure, StretchedFit, stretched_fit_batch
 
-# Fit errors that mark the batch's trials failed (excluded from win rates)
-# rather than aborting the whole Monte Carlo run; a SamplerFailureError
-# marks its own trial.  A fit that did not converge is not among them: it
-# is kept and flagged by its stop reason.
-TRIAL_FAILURE_TYPES = (SingularFitError, StageFailure)
+# Sampler and fit errors that mark the batch's trials failed (excluded from
+# win rates) rather than aborting the whole Monte Carlo run.  A fit that did
+# not converge is not among them: it is kept and flagged by its stop reason.
+TRIAL_FAILURE_TYPES = (SamplerFailureError, SingularFitError, StageFailure)
 
 ERROR_COLUMNS = ("lsm_error1", "lsm_error2", "slsm_error1", "slsm_error2")
 
@@ -136,15 +135,18 @@ def make_noisy_dataset(cfg: TrialConfig, rng: np.random.Generator) -> Dataset:
     ordinates are exact and no noise is drawn.
     """
     x = np.linspace(*cfg.x_domain, cfg.n)
-    return Dataset(x, _add_noise(cfg, predict(cfg.truth_model, cfg.truth_params, x), rng))
+    return Dataset(x, _add_noise(cfg, predict(cfg.truth_model, cfg.truth_params, x), [rng])[0])
 
 
-def _add_noise(cfg: TrialConfig, y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """``y`` plus the configuration's noise drawn from ``rng``; ``y`` itself when eta = 0."""
+def _add_noise(cfg: TrialConfig, y: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+    """One row per generator: ``y`` plus the configuration's noise drawn from it.
+
+    The rows are drawn as one batch, each with the bits its generator gives
+    alone.  With eta = 0 no noise is drawn and every row is ``y``.
+    """
     if cfg.eta > 0.0:
-        raw = standardize(sample_rejection(cfg.noise_law, rng, cfg.n))
-        y = y + raw * (cfg.eta / 100.0)
-    return y
+        return y + standardize(sample_rejection(cfg.noise_law, rngs, cfg.n)) * (cfg.eta / 100.0)
+    return np.tile(y, (len(rngs), 1))
 
 
 def error1(fitted: Callable, truth: Callable, x):
@@ -199,34 +201,26 @@ def _failure(exc: Exception) -> str:
 def run_monte_carlo(cfg: TrialConfig, repetitions: int) -> ExperimentReport:
     """Repeat the trial with derived per-trial seeds and aggregate.
 
-    Trial i always draws from the stream (cfg.seed, i), in index order; a
-    trial whose draw fails is excluded alone.  The trials that drew their
-    data are then fitted and scored as one batch.  A fit that fails fails
-    the batch and excludes all of them: polynomial trials share one design
-    matrix, so a rank-deficient design is the configuration's failure.
+    Trial i always draws from the stream (cfg.seed, i).  The noise of every
+    trial is drawn as one batch, and the trials are then fitted and scored
+    as one batch.  A failure of either excludes every trial: the trials
+    share one sampler envelope and, for polynomials, one design matrix, so
+    a broken envelope or a rank-deficient design is the configuration's
+    failure.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
 
     x = np.linspace(*cfg.x_domain, cfg.n)
-    truth = predict(cfg.truth_model, cfg.truth_params, x)
-    indices: list[int] = []
-    rows: list[np.ndarray] = []
-    failures: list[tuple[int, str]] = []
-    for i in range(repetitions):
-        try:
-            rows.append(_add_noise(cfg, truth, trial_rng(cfg.seed, i)))
-        except SamplerFailureError as exc:
-            failures.append((i, _failure(exc)))
-        else:
-            indices.append(i)
-
+    indices = list(range(repetitions))
     trials: list[TrialReport] = []
-    if indices:
-        try:
-            trials = _run_batch(cfg, x, indices, np.array(rows))
-        except TRIAL_FAILURE_TYPES as exc:
-            failures = sorted(failures + [(i, _failure(exc)) for i in indices])
+    failures: list[tuple[int, str]] = []
+    try:
+        ys = _add_noise(cfg, predict(cfg.truth_model, cfg.truth_params, x),
+                        [trial_rng(cfg.seed, i) for i in indices])
+        trials = _run_batch(cfg, x, indices, ys)
+    except TRIAL_FAILURE_TYPES as exc:
+        failures = [(i, _failure(exc)) for i in indices]
 
     win_rates, ties = [None, None], [0, 0]
     medians: dict[str, float] = {}

@@ -249,18 +249,21 @@ class TestFitInput:
                      "--out", str(tmp_path / "f.json")]) == 0
 
     @pytest.mark.parametrize("text, message", [
-        ("x,y\n0,1\n2\n", "missing column"),
-        ("x,y\n0,1\n2,\n", "non-numeric"),
-        ("x,y\n0,zero\n", "non-numeric"),
-        ("\nx,y\n0,1\n", "non-numeric"),
-        ("x,y\n1_000,1\n", "non-numeric"),
-        ("x,y\n", "no data rows"),
-        ("", "no data rows"),
-        ("# only a comment\n\n  \n", "no data rows"),
-        ("x,y\n0,1\n1,nan\n", "finite"),
-        ("x,y\n0,1\ninf,1\n", "finite"),
+        ("x,y\n0,1\n2\n", ":3: non-numeric cell or missing column"),
+        ("x,y\n0,1\n2,\n", ":3: non-numeric cell or missing column"),
+        ("x,y\n0,zero\n", ":2: non-numeric cell or missing column"),
+        ("\nx,y\n0,1\n", ":2: non-numeric cell or missing column"),
+        ("x,y\n1_000,1\n", ":2: non-numeric cell or missing column"),
+        ("x,y\n# c\n\n1,2\n3", ":5: non-numeric cell or missing column"),
+        ("x,y\n", ": no data rows"),
+        ("", ": no data rows"),
+        ("# only a comment\n\n  \n", ": no data rows"),
+        ("x,y\n0,1\n1,nan\n", ":3: non-finite cell"),
+        ("x,y\n0,1\ninf,1\n", ":3: non-finite cell"),
+        ("x,y\n1,nan\n2,abc\n", ":2: non-finite cell"),
     ], ids=["short-row", "empty-cell", "non-numeric", "late-header", "underscore-numeral",
-            "header-only", "empty", "comments-only", "nan", "inf"])
+            "comment-and-blank-lines", "header-only", "empty", "comments-only", "nan", "inf",
+            "first-bad-line-wins"])
     def test_rejected_inputs(self, tmp_path, capsys, text, message):
         path = tmp_path / "in.csv"
         path.write_text(text)
@@ -269,10 +272,22 @@ class TestFitInput:
             code = main(["fit", "--input", str(path), "--model", "poly0",
                          "--out", str(tmp_path / "f.json")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert message in err
-        if message != "finite":
-            assert str(path) in err
+        assert f"{path}{message}" in capsys.readouterr().err
+
+    def test_bad_line_found_past_the_first_block(self, tmp_path, capsys):
+        rows = [f"{i},{i}" for i in range(3000)]
+        rows[2500] = "3,abc"
+        rows[2900] = "nan,1"
+        path = tmp_path / "long.csv"
+        path.write_text("x,y\n" + "\n".join(rows) + "\n")
+        assert main(["fit", "--input", str(path), "--model", "poly0",
+                     "--out", str(tmp_path / "f.json")]) == 2
+        assert f"{path}:2502: non-numeric cell" in capsys.readouterr().err
+        rows[2500] = "3,4"
+        path.write_text("x,y\n" + "\n".join(rows) + "\n")
+        assert main(["fit", "--input", str(path), "--model", "poly0",
+                     "--out", str(tmp_path / "f.json")]) == 2
+        assert f"{path}:2902: non-finite cell" in capsys.readouterr().err
 
     def test_undecodable_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"

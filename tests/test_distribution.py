@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import stretchfit.distribution as distribution
 from stretchfit import (
     DegenerateScaleError,
+    SamplerFailureError,
     StretchedGaussian,
     absolute_moment,
     normalization_constant,
@@ -23,6 +25,41 @@ from kstools import ks_crit_two_sample, ks_two_sample
 def law_with_scale(beta: float, c: float, alpha: float = 1.0) -> StretchedGaussian:
     """Build a law whose derived scale 4*D*t**alpha equals c."""
     return StretchedGaussian(alpha=alpha, beta=beta, diffusivity=c / 4.0, time=1.0)
+
+
+def per_trial_noise(law: StretchedGaussian, rng: np.random.Generator, n: int):
+    """The sampler as it ran one generator at a time, kept as the batch's oracle.
+
+    Squeeze rejection at shape a (a + 1 below one), the boost, signs and
+    scale, then standardization of the vector.  Returns the raw draws, the
+    standardized draws and the proposal count.
+    """
+    a = law.gamma_shape
+    shape = a if a >= 1.0 else a + 1.0
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    g = np.empty(n)
+    filled = proposals = 0
+    while filled < n:
+        m = n - filled
+        z = rng.standard_normal(m)
+        u = rng.random(m)
+        v = (1.0 + c * z) ** 3
+        positive = v > 0.0
+        accept = positive & (u < 1.0 - 0.0331 * z**4)
+        slow = positive & ~accept
+        if np.any(slow):
+            zs, vs = z[slow], v[slow]
+            accept[slow] = np.log(u[slow]) < 0.5 * zs**2 + d * (1.0 - vs + np.log(vs))
+        k = int(np.count_nonzero(accept))
+        g[filled:filled + k] = d * v[accept]
+        filled += k
+        proposals += m
+    if a < 1.0:
+        g = g * rng.random(n) ** (1.0 / a)
+    signs = rng.integers(0, 2, n) * 2 - 1
+    raw = signs * (law.scale * g) ** (1.0 / (2.0 * law.beta))
+    return raw, (raw - raw.mean()) / raw.std(ddof=1), proposals
 
 
 def kernel_quad(beta: float, c: float, weight=lambda x: 1.0) -> float:
@@ -226,6 +263,48 @@ class TestSamplers:
         np.testing.assert_array_equal(a, b)
 
 
+class TestBatchedRejection:
+    N = 200
+
+    @staticmethod
+    def streams(size, seed=3):
+        return [np.random.default_rng([seed, i]) for i in range(size)]
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 250])
+    @pytest.mark.parametrize("beta", [0.3, 0.4, 0.8, 1.0])
+    def test_rows_bit_equal_to_per_trial_oracle(self, beta, size):
+        law = law_with_scale(beta, 1.0)
+        batch, stats = sample_rejection(law, self.streams(size), self.N, return_stats=True)
+        assert batch.shape == (size, self.N)
+        expected = [per_trial_noise(law, rng, self.N) for rng in self.streams(size)]
+        # Some row's first round rejected a proposal, so a later round refilled it.
+        assert any(proposals > self.N for _, _, proposals in expected)
+        standardized = standardize(batch)
+        for k, (raw, std, _) in enumerate(expected):
+            assert batch[k].tobytes() == raw.tobytes()
+            assert standardized[k].tobytes() == std.tobytes()
+        assert stats.proposals == sum(proposals for _, _, proposals in expected)
+        assert stats.accepted == size * self.N
+
+    @pytest.mark.parametrize("beta", [0.4, 0.8])
+    def test_single_generator_is_a_batch_of_one(self, beta):
+        law = law_with_scale(beta, 2.0)
+        single, stats = sample_rejection(law, np.random.default_rng(8), 50, return_stats=True)
+        raw, _, proposals = per_trial_noise(law, np.random.default_rng(8), 50)
+        assert single.shape == (50,)
+        assert single.tobytes() == raw.tobytes()
+        assert (stats.proposals, stats.accepted) == (proposals, 50)
+
+    def test_batch_over_the_round_cap_raises_once(self, monkeypatch):
+        monkeypatch.setattr(distribution, "REJECTION_PROPOSAL_CAP", 1)
+        with pytest.raises(SamplerFailureError, match="after 1 proposal rounds"):
+            sample_rejection(law_with_scale(0.4, 1.0), self.streams(20), self.N)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError):
+            sample_rejection(law_with_scale(0.4, 1.0), [], self.N)
+
+
 class TestStandardize:
     def test_two_point_case(self):
         # mean 2, sample (n-1) standard deviation sqrt(2).
@@ -252,3 +331,17 @@ class TestStandardize:
     def test_short_input_rejected(self):
         with pytest.raises(ValueError):
             standardize([1.0])
+        with pytest.raises(ValueError):
+            standardize([[1.0], [2.0]])
+
+    def test_rows_standardized_one_by_one(self):
+        rows = np.random.default_rng(43).gamma(2.0, 1.0, (5, 301))
+        out = standardize(rows)
+        for row, got in zip(rows, out):
+            assert got.tobytes() == standardize(row).tobytes()
+
+    def test_constant_row_rejected(self):
+        rows = np.random.default_rng(47).normal(size=(4, 10))
+        rows[2] = 7.0
+        with pytest.raises(DegenerateScaleError):
+            standardize(rows)

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import stretchfit.distribution as distribution
 import stretchfit.experiment as experiment
 import stretchfit.lsq as lsq
 from stretchfit import (
-    SamplerFailureError,
     SingularFitError,
     grid_config,
     error1,
@@ -224,28 +224,27 @@ class TestRunMonteCarlo:
             assert getattr(report, f"ties_{metric}") == ties
 
     def test_failures_excluded_and_counted(self, monkeypatch):
-        # Trials draw their noise in index order, one sampler call each, so
-        # every third call is trial 0, 3, 6 or 9; each failure excludes only
-        # its own trial and leaves the others' results unchanged.
-        cfg = poly_config(seed=9)
-        clean = run_monte_carlo(cfg, repetitions=12)
+        # A configuration draws its noise in one sampler call, and its trials
+        # share the sampler's envelope, so a draw over the round cap excludes
+        # every trial with the sampler's message.
+        monkeypatch.setattr(distribution, "REJECTION_PROPOSAL_CAP", 1)
         real = experiment.sample_rejection
         calls = itertools.count()
 
-        def flaky(*args, **kwargs):
-            if next(calls) % 3 == 0:
-                raise SamplerFailureError("synthetic failure")
+        def counted(*args, **kwargs):
+            next(calls)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(experiment, "sample_rejection", flaky)
-        report = run_monte_carlo(cfg, repetitions=12)
-        assert [i for i, _ in report.failures] == [0, 3, 6, 9]
-        assert len(report.trials) == 8
-        assert all("synthetic failure" in msg for _, msg in report.failures)
-        kept = [t for t in clean.trials if t.seed[1] % 3]
-        assert [t.errors() for t in report.trials] == [t.errors() for t in kept]
-        wins2 = sum(t.slsm_error2 < t.lsm_error2 for t in report.trials)
-        assert report.win_rate_error2 == wins2 / 8
+        monkeypatch.setattr(experiment, "sample_rejection", counted)
+        report = run_monte_carlo(poly_config(seed=9), repetitions=12)
+        assert next(calls) == 1
+        assert report.trials == ()
+        assert [i for i, _ in report.failures] == list(range(12))
+        messages = {msg for _, msg in report.failures}
+        assert len(messages) == 1
+        assert messages.pop().startswith("SamplerFailureError: no acceptance after 1 proposal")
+        assert (report.win_rate_error1, report.win_rate_error2) == (None, None)
+        assert report.medians == report.iqrs == {}
 
     def test_fit_failure_excludes_every_trial(self, monkeypatch):
         def singular(*args, **kwargs):
