@@ -23,14 +23,12 @@ from .distribution import (
 from .experiment import (
     ExperimentReport,
     TrialConfig,
-    TrialReport,
     benchmark_grid,
     error1,
     error2,
     grid_config,
     make_noisy_dataset,
     run_monte_carlo,
-    run_trial,
 )
 from .hausdorff import (
     FractalAxis,
@@ -89,13 +87,11 @@ __all__ = [
     "stretched_fit_batch",
     "ExperimentReport",
     "TrialConfig",
-    "TrialReport",
     "benchmark_grid",
     "error1",
     "error2",
     "grid_config",
     "make_noisy_dataset",
     "run_monte_carlo",
-    "run_trial",
     "__version__",
 ]

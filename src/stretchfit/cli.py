@@ -22,15 +22,13 @@ from . import __version__
 from .distribution import SamplerFailureError, StretchedGaussian, sample_exact, sample_rejection
 from .experiment import (
     ERROR_COLUMNS,
-    TrialConfig,
+    ExperimentReport,
     benchmark_grid,
     config_token,
     grid_config,
-    make_noisy_dataset,
     run_monte_carlo,
-    trial_rng,
 )
-from .lsq import Dataset, FitResult, ModelSpec, SingularFitError, fit
+from .lsq import Dataset, FitResult, ModelSpec, SingularFitError, fit, predict
 from .stretched import StageFailure, stretched_fit
 
 EXIT_OK = 0
@@ -229,31 +227,29 @@ def cmd_fit(args) -> int:
 # experiment
 # ---------------------------------------------------------------------------
 
-def _report_dict(token: str, report) -> dict:
-    return {
-        "config": token,
-        "repetitions": report.repetitions,
-        "excluded": len(report.failures),
-        "failures": [{"trial": i, "error": msg} for i, msg in report.failures],
-        "win_rate_error1": report.win_rate_error1,
-        "win_rate_error2": report.win_rate_error2,
-        "ties_error1": report.ties_error1,
-        "ties_error2": report.ties_error2,
-        "medians": report.medians,
-        "iqrs": report.iqrs,
-        "trials": [
-            {
-                "trial": t.seed[1],
-                "lsm_error1": t.lsm_error1,
-                "lsm_error2": t.lsm_error2,
-                "slsm_error1": t.slsm_error1,
-                "slsm_error2": t.slsm_error2,
-                "lsm_converged": bool(t.lsm_fit.converged),
-                "slsm_converged": bool(t.slsm_fit.converged),
-            }
-            for t in report.trials
-        ],
-    }
+# A trial record as json.dumps(indent=2, sort_keys=True) writes it in the
+# "trials" list, keys sorted; str() of a finite float is json's form of it.
+_TRIAL_KEYS = ("lsm_converged", "lsm_error1", "lsm_error2",
+               "slsm_converged", "slsm_error1", "slsm_error2", "trial")
+_TRIAL_RECORD = "    {\n" + ",\n".join(f'      "{key}": %s' for key in _TRIAL_KEYS) + "\n    }"
+
+
+def _experiment_json(payload: dict, report: ExperimentReport) -> str:
+    """``payload`` and the report's trials as json.dumps(indent=2, sort_keys=True) writes them.
+
+    Only the trial records, whose errors are finite, bypass json.dumps.
+    """
+    text = json.dumps({**payload, "trials": []}, indent=2, sort_keys=True, allow_nan=False)
+    flags = [np.where(c, "true", "false").tolist()
+             for c in (report.lsm.converged, report.slsm_converged)]
+    records = ",\n".join(
+        _TRIAL_RECORD % (lsm, e1, e2, slsm, s1, s2, i) for i, (e1, e2, s1, s2), lsm, slsm
+        in zip(report.indices.tolist(), report.errors.tolist(), *flags))
+    if records:
+        # Strings are escaped inside JSON, so only the top-level key matches.
+        head, tail = text.split('\n  "trials": []')
+        text = f'{head}\n  "trials": [\n{records}\n  ]{tail}'
+    return text + "\n"
 
 
 def cmd_experiment(args) -> int:
@@ -273,8 +269,20 @@ def cmd_experiment(args) -> int:
         },
         outputs=(str(out),),
     )
-    payload = {"manifest": asdict(manifest), **_report_dict(token, report)}
-    _write_text(out, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    payload = {
+        "manifest": asdict(manifest),
+        "config": token,
+        "repetitions": report.repetitions,
+        "excluded": len(report.failures),
+        "failures": [{"trial": i, "error": msg} for i, msg in report.failures],
+        "win_rate_error1": report.win_rate_error1,
+        "win_rate_error2": report.win_rate_error2,
+        "ties_error1": report.ties_error1,
+        "ties_error2": report.ties_error2,
+        "medians": report.medians,
+        "iqrs": report.iqrs,
+    }
+    _write_text(out, _experiment_json(payload, report))
     return EXIT_OK
 
 
@@ -282,23 +290,22 @@ def cmd_experiment(args) -> int:
 # tables
 # ---------------------------------------------------------------------------
 
-def _representative_trial(report):
-    """The successful trial whose stretched RMS error is the run median."""
-    ranked = sorted(report.trials, key=lambda t: t.slsm_error2)
-    return ranked[(len(ranked) - 1) // 2]
+def _representative_trial(report: ExperimentReport) -> int:
+    """Row of the trial whose stretched RMS error is the median; ties rank by trial."""
+    ranked = np.argsort(report.column("slsm_error2"), kind="stable")
+    return int(ranked[(len(ranked) - 1) // 2])
 
 
-def _table_rows(cfg: TrialConfig, trial) -> tuple[list[str], list[list]]:
+def _table_rows(report: ExperimentReport, k: int) -> tuple[list[str], list[list]]:
+    cfg = report.config
     sin = cfg.truth_model.family == "sinusoid"
     header = ["method", "a", "b", "c"] + (["d"] if sin else []) + ["error1", "error2"]
-    rows = [
-        ["f", *[float(v) for v in cfg.truth_params], 0.0, 0.0],
-        ["LSM", *[float(v) for v in trial.lsm_fit.params],
-         trial.lsm_error1, trial.lsm_error2],
-        ["Stretched-LSM", *[float(v) for v in trial.slsm_fit.final.params],
-         trial.slsm_error1, trial.slsm_error2],
+    e1, e2, s1, s2 = report.errors[k].tolist()
+    return header, [
+        ["f", *cfg.truth_params.tolist(), 0.0, 0.0],
+        ["LSM", *report.lsm.params[k].tolist(), e1, e2],
+        ["Stretched-LSM", *report.final.params[k].tolist(), s1, s2],
     ]
-    return header, rows
 
 
 def cmd_tables(args) -> int:
@@ -315,15 +322,15 @@ def cmd_tables(args) -> int:
     outputs: list[str] = []
     summaries: dict[str, dict] = {}
     for token, cfg in grid:
-        report = run_monte_carlo(cfg, args.reps)
-        if not report.trials:
+        report = run_monte_carlo(cfg, args.reps, keep_ordinates=True)
+        if report.failures:
             print(f"stretchfit: every trial of {token} failed: {report.failures[0][1]}",
                   file=sys.stderr)
             return EXIT_NUMERICAL
         stem = token.replace(":", "_")
-        rep = _representative_trial(report)
+        k = _representative_trial(report)
 
-        header, rows = _table_rows(cfg, rep)
+        header, rows = _table_rows(report, k)
         table_path = outdir / f"table_{stem}.csv"
         _write_csv(table_path, header, rows)
 
@@ -338,21 +345,17 @@ def cmd_tables(args) -> int:
             summary_row += [report.medians[col], report.iqrs[col]]
         _write_csv(summary_path, summary_header, [summary_row])
 
-        data = make_noisy_dataset(cfg, trial_rng(*rep.seed))
-        truth = cfg.truth_function()(data.x)
-        f_lsm = rep.lsm_fit.predict(data.x)
-        f_slsm = rep.slsm_fit.predict(data.x)
+        x = np.linspace(*cfg.x_domain, cfg.n)
+        columns = [x, report.ordinates[k], cfg.truth_function()(x),
+                   predict(cfg.truth_model, report.lsm.params[k], x),
+                   predict(cfg.truth_model, report.final.params[k], x)]
         figure_path = outdir / f"figure_{stem}.csv"
-        _write_csv(
-            figure_path,
-            ["x", "y_noisy", "f_true", "F_lsm", "F_slsm"],
-            [[float(a), float(b), float(c), float(d), float(e)]
-             for a, b, c, d, e in zip(data.x, data.y, truth, f_lsm, f_slsm)],
-        )
+        _write_csv(figure_path, ["x", "y_noisy", "f_true", "F_lsm", "F_slsm"],
+                   np.column_stack(columns).tolist())
 
         outputs += [str(table_path), str(summary_path), str(figure_path)]
         summaries[token] = {
-            "representative_trial": rep.seed[1],
+            "representative_trial": int(report.indices[k]),
             "win_rate_error1": report.win_rate_error1,
             "win_rate_error2": report.win_rate_error2,
             "medians": report.medians,

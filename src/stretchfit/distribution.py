@@ -175,11 +175,13 @@ def _gamma_rejection(shape: float, rngs: list[np.random.Generator],
             rngs[j].random(out=u[lo:hi])
         v = (1.0 + c * z) ** 3
         positive = v > 0.0
-        accept = positive & (u < 1.0 - 0.0331 * z**4)
+        # z**4 as a square of squares: numpy's fast pow covers positive bases only.
+        z2 = z * z
+        accept = positive & (u < 1.0 - 0.0331 * (z2 * z2))
         slow = positive & ~accept
         if np.any(slow):
-            zs, vs = z[slow], v[slow]
-            accept[slow] = np.log(u[slow]) < 0.5 * zs**2 + d * (1.0 - vs + np.log(vs))
+            vs = v[slow]
+            accept[slow] = np.log(u[slow]) < 0.5 * z2[slow] + d * (1.0 - vs + np.log(vs))
         # Proposals come row by row, so a row's accepted values are contiguous
         # in ``rows`` and keep their order; rank them within the row.
         rows = np.repeat(pending, wanted)[accept]

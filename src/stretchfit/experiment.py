@@ -6,7 +6,8 @@ Each trial owns a private random stream derived from (base seed, trial
 index), so a report is bit-identical on every rerun, and extending the
 repetition count preserves the existing trial prefix.  The trials of a run
 share their abscissas, so both methods fit and score them as one batch,
-whose rows are computed independently of the batch size.
+whose rows are computed independently of the batch size, and the report
+keeps the batch's columns: trial k of a run is row k of each.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from .distribution import (
 )
 from .lsq import (
     Dataset,
-    FitResult,
+    FitBatch,
     ModelSpec,
     SingularFitError,
     fit_batch,
     predict,
 )
-from .stretched import StageFailure, StretchedFit, stretched_fit_batch
+from .stretched import StageFailure, stretched_fit_batch
 
 # Sampler and fit errors that mark the batch's trials failed (excluded from
 # win rates) rather than aborting the whole Monte Carlo run.  A fit that did
@@ -84,36 +85,25 @@ class TrialConfig:
 
 
 @dataclass(frozen=True)
-class TrialReport:
-    """Errors and fits of one trial; ``seed`` is the (base, index) pair used."""
-
-    lsm_error1: float
-    lsm_error2: float
-    slsm_error1: float
-    slsm_error2: float
-    lsm_fit: FitResult
-    slsm_fit: StretchedFit
-    seed: tuple[int, int]
-
-    def errors(self) -> tuple[float, float, float, float]:
-        return (self.lsm_error1, self.lsm_error2, self.slsm_error1, self.slsm_error2)
-
-
-@dataclass(frozen=True)
 class ExperimentReport:
-    """Aggregate of a seeded Monte Carlo run.
+    """Aggregate of a seeded Monte Carlo run, with its per-trial columns.
 
+    Row k of ``errors`` (columns in ERROR_COLUMNS order), of the fit batches
+    and of the noisy ``ordinates``, if kept, belongs to trial ``indices[k]``.
     Win rates are exact fractions of successful trials in which the
     stretched method is strictly better on the given metric, and None when
-    no trial succeeded; failed trials are listed and excluded from the
-    denominators.  Ties count the trials whose two errors agree to
-    TIE_RTOL; they are reported apart and do not change the strict win
-    rates.
+    no trial succeeded; failed trials are listed and excluded.  Ties count
+    the trials whose two errors agree to TIE_RTOL; they are reported apart
+    and do not change the strict win rates.
     """
 
     config: TrialConfig
     repetitions: int
-    trials: tuple[TrialReport, ...]
+    indices: np.ndarray
+    errors: np.ndarray
+    lsm: FitBatch
+    transition: FitBatch
+    final: FitBatch
     failures: tuple[tuple[int, str], ...]
     win_rate_error1: float | None
     win_rate_error2: float | None
@@ -121,6 +111,16 @@ class ExperimentReport:
     ties_error2: int
     medians: dict[str, float] = field(default_factory=dict)
     iqrs: dict[str, float] = field(default_factory=dict)
+    ordinates: np.ndarray | None = None
+
+    def column(self, name: str) -> np.ndarray:
+        """The errors named ``name`` (one of ERROR_COLUMNS), one per trial."""
+        return self.errors[:, ERROR_COLUMNS.index(name)]
+
+    @property
+    def slsm_converged(self) -> np.ndarray:
+        """True for the trials whose two stretched stages both converged."""
+        return self.transition.converged & self.final.converged
 
 
 def trial_rng(base_seed: int, trial_index: int) -> np.random.Generator:
@@ -154,10 +154,7 @@ def error1(fitted: Callable, truth: Callable, x):
 
     A ``fitted`` that returns one row of values per fit gives one error per row.
     """
-    xv = np.asarray(x, dtype=float)
-    if xv.size == 0:
-        raise ValueError("error metrics need at least one evaluation point")
-    return np.max(np.abs(np.asarray(fitted(xv)) - np.asarray(truth(xv))), axis=-1)
+    return _errors(fitted, truth, x)[0]
 
 
 def error2(fitted: Callable, truth: Callable, x):
@@ -165,40 +162,20 @@ def error2(fitted: Callable, truth: Callable, x):
 
     A ``fitted`` that returns one row of values per fit gives one error per row.
     """
+    return _errors(fitted, truth, x)[1]
+
+
+def _errors(fitted: Callable, truth: Callable, x) -> tuple[np.ndarray, np.ndarray]:
+    """error1 and error2, both from one evaluation of the gap between the curves."""
     xv = np.asarray(x, dtype=float)
     if xv.size == 0:
         raise ValueError("error metrics need at least one evaluation point")
-    diff = np.asarray(fitted(xv)) - np.asarray(truth(xv))
-    return np.sqrt(np.mean(diff**2, axis=-1))
+    gap = np.asarray(fitted(xv)) - np.asarray(truth(xv))
+    return np.max(np.abs(gap), axis=-1), np.sqrt(np.mean(gap**2, axis=-1))
 
 
-def _run_batch(cfg: TrialConfig, x: np.ndarray, indices: list[int],
-               ys: np.ndarray) -> list[TrialReport]:
-    """Fit both methods to each row of ``ys`` and score them; row k is trial indices[k]."""
-    truth = cfg.truth_function()
-    lsm = fit_batch(cfg.truth_model, x, ys)
-    transition, final = stretched_fit_batch(cfg.truth_model, x, ys, cfg.beta)
-    errors = np.column_stack([error1(lsm.predict, truth, x), error2(lsm.predict, truth, x),
-                              error1(final.predict, truth, x), error2(final.predict, truth, x)])
-    return [
-        TrialReport(*row, lsm_fit=lsm[k],
-                    slsm_fit=StretchedFit(cfg.beta, transition[k], final[k]),
-                    seed=(int(cfg.seed), i))
-        for k, (i, row) in enumerate(zip(indices, errors.tolist()))
-    ]
-
-
-def run_trial(cfg: TrialConfig, trial_index: int = 0) -> TrialReport:
-    """One trial: build data, fit both methods, score against the truth (a batch of one)."""
-    data = make_noisy_dataset(cfg, trial_rng(cfg.seed, trial_index))
-    return _run_batch(cfg, data.x, [trial_index], data.y[None])[0]
-
-
-def _failure(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def run_monte_carlo(cfg: TrialConfig, repetitions: int) -> ExperimentReport:
+def run_monte_carlo(cfg: TrialConfig, repetitions: int,
+                    keep_ordinates: bool = False) -> ExperimentReport:
     """Repeat the trial with derived per-trial seeds and aggregate.
 
     Trial i always draws from the stream (cfg.seed, i).  The noise of every
@@ -206,40 +183,55 @@ def run_monte_carlo(cfg: TrialConfig, repetitions: int) -> ExperimentReport:
     as one batch.  A failure of either excludes every trial: the trials
     share one sampler envelope and, for polynomials, one design matrix, so
     a broken envelope or a rank-deficient design is the configuration's
-    failure.
+    failure.  An error that is not finite (the fits overflow at an extreme
+    eta) raises ValueError naming the first such trial and column.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
 
     x = np.linspace(*cfg.x_domain, cfg.n)
-    indices = list(range(repetitions))
-    trials: list[TrialReport] = []
+    truth = cfg.truth_function()
     failures: list[tuple[int, str]] = []
     try:
-        ys = _add_noise(cfg, predict(cfg.truth_model, cfg.truth_params, x),
-                        [trial_rng(cfg.seed, i) for i in indices])
-        trials = _run_batch(cfg, x, indices, ys)
+        # Overflow shows up as non-finite errors, which are reported below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ys = _add_noise(cfg, truth(x), [trial_rng(cfg.seed, i) for i in range(repetitions)])
+            lsm = fit_batch(cfg.truth_model, x, ys)
+            transition, final = stretched_fit_batch(cfg.truth_model, x, ys, cfg.beta)
+            errors = np.column_stack([*_errors(lsm.predict, truth, x),
+                                      *_errors(final.predict, truth, x)])
     except TRIAL_FAILURE_TYPES as exc:
-        failures = [(i, _failure(exc)) for i in indices]
+        failures = [(i, f"{type(exc).__name__}: {exc}") for i in range(repetitions)]
+        ys = np.empty((0, cfg.n))
+        lsm = transition = final = FitBatch(
+            cfg.truth_model, np.empty((0, cfg.truth_model.n_params)), np.empty(0), (), ())
+        errors = np.empty((0, len(ERROR_COLUMNS)))
+
+    bad = np.argwhere(~np.isfinite(errors))
+    if bad.size:
+        k, j = bad[0].tolist()
+        raise ValueError(f"trial {k} has a non-finite {ERROR_COLUMNS[j]} ({errors[k, j]})")
 
     win_rates, ties = [None, None], [0, 0]
     medians: dict[str, float] = {}
     iqrs: dict[str, float] = {}
-    if trials:
-        # One row per trial, in the order of ERROR_COLUMNS.
-        table = np.array([t.errors() for t in trials])
-        lsm, slsm = table[:, :2], table[:, 2:]
-        win_rates = [w / len(trials) for w in np.count_nonzero(slsm < lsm, axis=0).tolist()]
-        tied = np.abs(lsm - slsm) <= TIE_RTOL * np.maximum(lsm, slsm)
+    if len(errors):
+        plain, stretched = errors[:, :2], errors[:, 2:]
+        win_rates = [w / len(errors) for w in np.count_nonzero(stretched < plain, axis=0).tolist()]
+        tied = np.abs(plain - stretched) <= TIE_RTOL * np.maximum(plain, stretched)
         ties = np.count_nonzero(tied, axis=0).tolist()
-        medians = dict(zip(ERROR_COLUMNS, np.median(table, axis=0).tolist()))
-        q25, q75 = np.percentile(table, [25.0, 75.0], axis=0)
+        medians = dict(zip(ERROR_COLUMNS, np.median(errors, axis=0).tolist()))
+        q25, q75 = np.percentile(errors, [25.0, 75.0], axis=0)
         iqrs = dict(zip(ERROR_COLUMNS, (q75 - q25).tolist()))
 
     return ExperimentReport(
         config=cfg,
         repetitions=repetitions,
-        trials=tuple(trials),
+        indices=np.arange(len(errors)),
+        errors=errors,
+        lsm=lsm,
+        transition=transition,
+        final=final,
         failures=tuple(failures),
         win_rate_error1=win_rates[0],
         win_rate_error2=win_rates[1],
@@ -247,6 +239,7 @@ def run_monte_carlo(cfg: TrialConfig, repetitions: int) -> ExperimentReport:
         ties_error2=ties[1],
         medians=medians,
         iqrs=iqrs,
+        ordinates=ys if keep_ordinates else None,
     )
 
 

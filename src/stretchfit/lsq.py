@@ -160,6 +160,11 @@ class FitBatch:
         return FitResult(self.model, self.params[i], float(self.sse[i]),
                          self.iterations[i], self.stop_reasons[i])
 
+    @property
+    def converged(self) -> np.ndarray:
+        """FitResult.converged of every fit, as a boolean array."""
+        return np.array([reason != BOUNDARY for reason in self.stop_reasons], dtype=bool)
+
     def predict(self, x) -> np.ndarray:
         """Values of every fit at ``x``, one row per fit."""
         return predict(self.model, self.params, x)

@@ -213,18 +213,18 @@ def test_criterion_6_statistical_comparison():
 
         pvalues = {}
         for metric in ("error1", "error2"):
-            lsm = np.array([getattr(t, f"lsm_{metric}") for t in rep.trials])
-            slsm = np.array([getattr(t, f"slsm_{metric}") for t in rep.trials])
+            lsm = rep.column(f"lsm_{metric}")
+            slsm = rep.column(f"slsm_{metric}")
             wins, losses = int(np.sum(slsm < lsm)), int(np.sum(lsm < slsm))
             pooled[metric][0] += wins
-            pooled[metric][1] += len(rep.trials)
+            pooled[metric][1] += len(rep.indices)
             pvalues[metric] = sign_test_pvalue(losses, wins + losses)
             smallest_p = min(smallest_p, pvalues[metric])
             if pvalues[metric] < sign_alpha:
                 row_fail.append(f"LSM-BETTER-{metric}")
 
-        plain_unconverged = sum(1 for t in rep.trials if not t.lsm_fit.converged)
-        stretched_unconverged = sum(1 for t in rep.trials if not t.slsm_fit.converged)
+        plain_unconverged = int(np.count_nonzero(~rep.lsm.converged))
+        stretched_unconverged = int(np.count_nonzero(~rep.slsm_converged))
         rows.append(
             f"  {token:14s} med-e1 {m['lsm_error1']:.4f}->{m['slsm_error1']:.4f} "
             f"med-e2 {m['lsm_error2']:.4f}->{m['slsm_error2']:.4f} "
@@ -241,7 +241,7 @@ def test_criterion_6_statistical_comparison():
             oracle_gap = (
                 expected_squared_rms(polynomial_projection(x, degree), f, sigma)
                 - expected_squared_rms(stretched_smoother(x, cfg.beta, degree), f, sigma))
-            gaps = np.array([t.lsm_error2**2 - t.slsm_error2**2 for t in rep.trials])
+            gaps = rep.column("lsm_error2")**2 - rep.column("slsm_error2")**2
             mc_gap = float(np.mean(gaps))
             se = float(np.std(gaps, ddof=1) / math.sqrt(gaps.size))
             z = (mc_gap - oracle_gap) / se if se > 0.0 else math.inf
@@ -308,10 +308,8 @@ def test_criterion_8_determinism(tmp_path):
     cfg = benchmark_grid(BASE_SEED)[0][1]
     short = run_monte_carlo(cfg, 10)
     long = run_monte_carlo(cfg, 20)
-    prefix_ok = all(
-        a.errors() == b.errors() and a.seed == b.seed
-        for a, b in zip(short.trials, long.trials[:10])
-    )
+    prefix_ok = (short.errors.tobytes() == long.errors[:10].tobytes()
+                 and short.indices.tolist() == long.indices[:10].tolist())
 
     ok = report(8, "determinism", not stale and prefix_ok,
                 f"rerun byte-diffs: {stale or 'none'} "

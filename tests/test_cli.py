@@ -1,5 +1,6 @@
 """CLI behaviour: file formats, exit codes, manifests, reproducibility."""
 
+import dataclasses
 import json
 import re
 import warnings
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import stretchfit.experiment as experiment
-from stretchfit import Dataset, ModelSpec, SamplerFailureError, grid_config, run_trial, stretched_fit
-from stretchfit.cli import _read_xy_csv, main
+from stretchfit import (Dataset, ModelSpec, SamplerFailureError, StretchedFit, grid_config,
+                        run_monte_carlo, stretched_fit)
+from stretchfit.cli import _read_xy_csv, _representative_trial, main
 
 from kstools import ks_crit_two_sample, ks_two_sample
 
@@ -317,8 +319,8 @@ class TestExperiment:
         # Trial 9 of sin:b0.4:e50 at seed 6 (a row of acceptance criterion 6):
         # the transition stage stops on the frequency boundary while the
         # final stage converges, so the stretched fit is not converged.
-        stages = run_trial(grid_config("sin", 0.4, 50.0, seed=6), 9).slsm_fit
-        assert (stages.transition.stop_reason, stages.final.stop_reason) == ("boundary", "tolerance")
+        stages = run_monte_carlo(grid_config("sin", 0.4, 50.0, seed=6), 10)
+        assert (stages.transition.stop_reasons[9], stages.final.stop_reasons[9]) == ("boundary", "tolerance")
         out = tmp_path / "report.json"
         code = main(["experiment", "--model", "sin", "--beta", "0.4", "--eta", "50",
                      "--reps", "10", "--seed", "6", "--out", str(out)])
@@ -370,6 +372,74 @@ class TestExperiment:
         text = out.read_text()
         assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
 
+    @pytest.mark.parametrize("model, beta, eta, seed, reps, failing", [
+        ("poly", 0.8, 50.0, 3, 250, False),
+        # Trial 9's transition stage stops on the frequency boundary, and
+        # trial 15's plain fit does.
+        ("sin", 0.4, 50.0, 6, 16, False),
+        # Every trial has the same errors.
+        ("poly", 0.4, 0.0, 0, 6, False),
+        # Every trial fails: null win rates, no trials.
+        ("poly", 0.4, 30.0, 0, 3, True),
+    ], ids=["poly-250", "sin-boundary", "eta-0", "all-failed"])
+    def test_report_is_json_dumps_of_the_trial_dicts(self, tmp_path, request, model, beta,
+                                                     eta, seed, reps, failing):
+        # The report's trials are formatted from its columns; the file must be
+        # the bytes json.dumps writes for one dict per trial.
+        if failing:
+            request.getfixturevalue("failing_sampler")
+        out = tmp_path / "report.json"
+        code = main(["experiment", "--model", model, "--beta", str(beta), "--eta", str(eta),
+                     "--reps", str(reps), "--seed", str(seed), "--out", str(out)])
+        assert code == 0
+        text = out.read_text()
+        report = run_monte_carlo(grid_config(model, beta, eta, seed=seed), reps)
+        trials = [
+            {
+                "trial": i,
+                "lsm_error1": e1,
+                "lsm_error2": e2,
+                "slsm_error1": s1,
+                "slsm_error2": s2,
+                "lsm_converged": report.lsm[k].converged,
+                "slsm_converged": StretchedFit(beta, report.transition[k],
+                                               report.final[k]).converged,
+            }
+            for k, (i, (e1, e2, s1, s2)) in enumerate(zip(report.indices.tolist(),
+                                                          report.errors.tolist()))
+        ]
+        payload = {
+            "manifest": json.loads(text)["manifest"],
+            "config": f"{model}:b{beta:g}:e{eta:g}",
+            "repetitions": reps,
+            "excluded": len(report.failures),
+            "failures": [{"trial": i, "error": msg} for i, msg in report.failures],
+            "win_rate_error1": report.win_rate_error1,
+            "win_rate_error2": report.win_rate_error2,
+            "ties_error1": report.ties_error1,
+            "ties_error2": report.ties_error2,
+            "medians": report.medians,
+            "iqrs": report.iqrs,
+            "trials": trials,
+        }
+        assert len(trials) == (0 if failing else reps)
+        if model == "sin":
+            assert trials[9]["slsm_converged"] is False
+            assert (trials[15]["lsm_converged"], trials[15]["slsm_converged"]) == (False, True)
+        assert text == json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+    def test_non_finite_errors_are_usage_error(self, tmp_path, capsys):
+        # At eta 1e308 the noise is finite but the squared gaps overflow.
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["experiment", "--model", "poly", "--beta", "0.4", "--eta", "1e308",
+                         "--reps", "2", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "stretchfit: error: trial 0 has a non-finite lsm_error2 (inf)\n")
+        assert not out.exists()
+
 
 class TestTables:
     def test_single_config_outputs(self, tmp_path):
@@ -406,6 +476,15 @@ class TestTables:
         err = capsys.readouterr().err
         assert "poly:b0.4:e30" in err and "synthetic failure" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("eta", [0.0, 30.0])
+    def test_representative_trial_is_the_stable_median(self, eta):
+        # Ties decide the pick: at eta 0 every trial has the same errors, and
+        # errors rounded to 2 decimals take a few values, each for many trials.
+        report = run_monte_carlo(grid_config("poly", 0.4, eta, seed=2), 101)
+        report = dataclasses.replace(report, errors=np.round(report.errors, 2))
+        ranked = sorted(range(101), key=report.errors[:, 3].tolist().__getitem__)
+        assert _representative_trial(report) == ranked[50]
 
     def test_unknown_config_rejected(self, tmp_path, capsys):
         code = main(["tables", "--configs", "poly:b0.9:e30", "--out", str(tmp_path / "t")])

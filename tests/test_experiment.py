@@ -11,12 +11,13 @@ import stretchfit.experiment as experiment
 import stretchfit.lsq as lsq
 from stretchfit import (
     SingularFitError,
+    fit,
     grid_config,
     error1,
     error2,
     make_noisy_dataset,
     run_monte_carlo,
-    run_trial,
+    stretched_fit,
 )
 from stretchfit.experiment import ERROR_COLUMNS, TIE_RTOL, trial_rng
 
@@ -27,9 +28,24 @@ def poly_config(seed=0, beta=0.4, eta=30.0, **kw):
 
 def fit_summaries(report):
     """Parameter bytes and stop reason of every fit of every trial, in order."""
-    return [(f.params.tobytes(), f.stop_reason)
-            for t in report.trials
-            for f in (t.lsm_fit, t.slsm_fit.transition, t.slsm_fit.final)]
+    return [(batch.params[k].tobytes(), batch.stop_reasons[k])
+            for k in range(len(report.indices))
+            for batch in (report.lsm, report.transition, report.final)]
+
+
+def single_trial(cfg, i):
+    """Trial i alone, the per-trial way: its own data set, one fit per method.
+
+    Returns the four errors in ERROR_COLUMNS order, the plain fit and the
+    stretched fit.
+    """
+    data = make_noisy_dataset(cfg, trial_rng(cfg.seed, i))
+    truth = cfg.truth_function()
+    lsm = fit(cfg.truth_model, data)
+    slsm = stretched_fit(cfg.truth_model, data, cfg.beta)
+    errors = (error1(lsm.predict, truth, data.x), error2(lsm.predict, truth, data.x),
+              error1(slsm.predict, truth, data.x), error2(slsm.predict, truth, data.x))
+    return tuple(float(e) for e in errors), lsm, slsm
 
 
 class TestMakeNoisyDataset:
@@ -107,66 +123,67 @@ class TestErrorMetrics:
 
 
 class TestRunTrial:
+    """Single trials: row k of a run's columns is trial k."""
+
     def test_zero_noise_beta_one_recovers_exactly(self):
         cfg = grid_config("poly", 1.0, 0.0, seed=0)
-        report = run_trial(cfg)
-        assert max(report.errors()) <= 1e-8
+        report = run_monte_carlo(cfg, 1)
+        assert report.errors[0].max() <= 1e-8
 
     def test_zero_noise_small_beta_reports_floor(self):
         # The two-stage pipeline has a noiseless bias floor for beta < 1;
         # it is reported, not zero.
         cfg = poly_config(eta=0.0)
-        report = run_trial(cfg)
-        assert report.lsm_error1 <= 1e-8
-        assert report.lsm_error2 <= 1e-8
-        assert 0.0 < report.slsm_error2 < 5e-3
+        lsm_error1, lsm_error2, _, slsm_error2 = run_monte_carlo(cfg, 1).errors[0]
+        assert lsm_error1 <= 1e-8
+        assert lsm_error2 <= 1e-8
+        assert 0.0 < slsm_error2 < 5e-3
 
     def test_seed_recorded(self):
         cfg = poly_config(seed=9)
-        report = run_trial(cfg, trial_index=4)
-        assert report.seed == (9, 4)
+        report = run_monte_carlo(cfg, 5)
+        assert report.config.seed == 9
+        assert report.indices.tolist() == [0, 1, 2, 3, 4]
 
     def test_errors_match_refit_from_stored_fits(self):
         cfg = poly_config(seed=2)
-        report = run_trial(cfg, 1)
+        report = run_monte_carlo(cfg, 2)
         data = make_noisy_dataset(cfg, trial_rng(2, 1))
         truth = cfg.truth_function()
-        assert report.lsm_error1 == error1(report.lsm_fit.predict, truth, data.x)
-        assert report.slsm_error2 == error2(report.slsm_fit.predict, truth, data.x)
+        assert report.column("lsm_error1")[1] == error1(report.lsm[1].predict, truth, data.x)
+        assert report.column("slsm_error2")[1] == error2(report.final[1].predict, truth, data.x)
 
     def test_strong_config_beats_plain_fit_in_median(self):
         # Polynomial, beta 0.4, eta 30: the stretched method's median RMS
         # error over 100 seeded trials is below the plain fit's.
-        cfg = poly_config(seed=0)
-        reports = [run_trial(cfg, i) for i in range(100)]
-        slsm = np.median([r.slsm_error2 for r in reports])
-        lsm = np.median([r.lsm_error2 for r in reports])
-        assert slsm < lsm
+        report = run_monte_carlo(poly_config(seed=0), 100)
+        assert np.median(report.column("slsm_error2")) < np.median(report.column("lsm_error2"))
 
 
 class TestRunMonteCarlo:
     def test_single_repetition_degenerate_aggregate(self):
         cfg = poly_config(seed=3)
         report = run_monte_carlo(cfg, repetitions=1)
-        trial = report.trials[0]
-        expected = 1.0 if trial.slsm_error2 < trial.lsm_error2 else 0.0
+        expected = 1.0 if report.column("slsm_error2")[0] < report.column("lsm_error2")[0] else 0.0
         assert report.win_rate_error2 == expected
         assert report.win_rate_error1 in (0.0, 1.0)
 
     def test_win_rates_recomputable_from_trials(self):
         cfg = poly_config(seed=4)
         report = run_monte_carlo(cfg, repetitions=40)
-        wins1 = sum(t.slsm_error1 < t.lsm_error1 for t in report.trials)
-        wins2 = sum(t.slsm_error2 < t.lsm_error2 for t in report.trials)
-        assert report.win_rate_error1 == wins1 / len(report.trials)
-        assert report.win_rate_error2 == wins2 / len(report.trials)
+        lsm_error1, lsm_error2, slsm_error1, slsm_error2 = report.errors.T.tolist()
+        wins1 = sum(s < p for p, s in zip(lsm_error1, slsm_error1))
+        wins2 = sum(s < p for p, s in zip(lsm_error2, slsm_error2))
+        assert report.win_rate_error1 == wins1 / len(report.indices)
+        assert report.win_rate_error2 == wins2 / len(report.indices)
 
     def test_ties_counted_apart_from_wins(self):
         # At beta = 1 the two methods coincide up to rounding: every trial
         # ties, while the strict win rates still count rounding-level gaps.
         report = run_monte_carlo(grid_config("poly", 1.0, 30.0, seed=0), repetitions=100)
-        assert report.ties_error1 == report.ties_error2 == len(report.trials) == 100
-        wins2 = sum(t.slsm_error2 < t.lsm_error2 for t in report.trials)
+        assert report.ties_error1 == report.ties_error2 == len(report.indices) == 100
+        wins2 = sum(s < p for p, s in zip(report.column("lsm_error2").tolist(),
+                                          report.column("slsm_error2").tolist()))
         assert report.win_rate_error2 == wins2 / 100
         assert run_monte_carlo(poly_config(seed=0), repetitions=20).ties_error2 == 0
 
@@ -180,22 +197,20 @@ class TestRunMonteCarlo:
         cfg = grid_config(family, 0.4, 30.0, seed=seed)
         *shorter, longest = [run_monte_carlo(cfg, repetitions=r) for r in counts]
         for short in shorter:
-            for a, b in zip(short.trials, longest.trials):
-                assert a.errors() == b.errors()
-                assert a.seed == b.seed
-            assert fit_summaries(short) == fit_summaries(longest)[:3 * len(short.trials)]
+            rows = len(short.indices)
+            assert short.errors.tobytes() == longest.errors[:rows].tobytes()
+            assert short.indices.tolist() == longest.indices[:rows].tolist()
+            assert fit_summaries(short) == fit_summaries(longest)[:3 * rows]
 
     def test_batch_errors_match_single_trials(self):
         cfg = poly_config(seed=12)
         report = run_monte_carlo(cfg, repetitions=7)
-        for t in report.trials:
-            single = run_trial(cfg, t.seed[1])
-            assert single.errors() == t.errors()
-            assert single.slsm_fit.final.params.tobytes() == t.slsm_fit.final.params.tobytes()
-            data = make_noisy_dataset(cfg, trial_rng(*t.seed))
-            truth = cfg.truth_function()
-            assert t.lsm_error1 == error1(t.lsm_fit.predict, truth, data.x)
-            assert t.slsm_error2 == error2(t.slsm_fit.predict, truth, data.x)
+        for k, i in enumerate(report.indices.tolist()):
+            errors, lsm, slsm = single_trial(cfg, i)
+            assert errors == tuple(report.errors[k].tolist())
+            assert lsm.params.tobytes() == report.lsm.params[k].tobytes()
+            assert slsm.transition.params.tobytes() == report.transition.params[k].tobytes()
+            assert slsm.final.params.tobytes() == report.final.params[k].tobytes()
 
     def test_scan_cache_does_not_change_sinusoid_report(self):
         cfg = grid_config("sin", 0.8, 50.0, seed=11)
@@ -204,20 +219,20 @@ class TestRunMonteCarlo:
         assert lsq._scan_table.cache_info().currsize == 2  # x and x + x**0.8
         warm = run_monte_carlo(cfg, repetitions=6)
         assert lsq._scan_table.cache_info().hits > 0
-        assert [t.errors() for t in cold.trials] == [t.errors() for t in warm.trials]
+        assert cold.errors.tobytes() == warm.errors.tobytes()
         assert fit_summaries(cold) == fit_summaries(warm)
 
     def test_median_and_iqr_match_numpy(self):
         cfg = poly_config(seed=8)
         report = run_monte_carlo(cfg, repetitions=30)
         for j, name in enumerate(ERROR_COLUMNS):
-            col = np.array([t.errors()[j] for t in report.trials])
+            col = np.array([row[j] for row in report.errors.tolist()])
             assert report.medians[name] == float(np.median(col))
             q25, q75 = np.percentile(col, [25, 75])
             assert report.iqrs[name] == float(q75 - q25)
         for metric in ("error1", "error2"):
-            pairs = [(getattr(t, f"lsm_{metric}"), getattr(t, f"slsm_{metric}"))
-                     for t in report.trials]
+            pairs = list(zip(report.column(f"lsm_{metric}").tolist(),
+                             report.column(f"slsm_{metric}").tolist()))
             wins = sum(slsm < lsm for lsm, slsm in pairs)
             ties = sum(abs(lsm - slsm) <= TIE_RTOL * max(lsm, slsm) for lsm, slsm in pairs)
             assert getattr(report, f"win_rate_{metric}") == wins / len(pairs)
@@ -238,7 +253,7 @@ class TestRunMonteCarlo:
         monkeypatch.setattr(experiment, "sample_rejection", counted)
         report = run_monte_carlo(poly_config(seed=9), repetitions=12)
         assert next(calls) == 1
-        assert report.trials == ()
+        assert report.errors.shape == (0, 4) and report.indices.size == 0
         assert [i for i, _ in report.failures] == list(range(12))
         messages = {msg for _, msg in report.failures}
         assert len(messages) == 1
@@ -252,7 +267,7 @@ class TestRunMonteCarlo:
 
         monkeypatch.setattr(experiment, "fit_batch", singular)
         report = run_monte_carlo(poly_config(seed=9), repetitions=5)
-        assert report.trials == ()
+        assert report.errors.shape == (0, 4) and report.indices.size == 0
         assert [i for i, _ in report.failures] == [0, 1, 2, 3, 4]
         assert (report.win_rate_error1, report.win_rate_error2) == (None, None)
         assert report.medians == report.iqrs == {}
