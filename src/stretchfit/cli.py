@@ -243,8 +243,8 @@ def _experiment_json(payload: dict, report: ExperimentReport) -> str:
     flags = [np.where(c, "true", "false").tolist()
              for c in (report.lsm.converged, report.slsm_converged)]
     records = ",\n".join(
-        _TRIAL_RECORD % (lsm, e1, e2, slsm, s1, s2, i) for i, (e1, e2, s1, s2), lsm, slsm
-        in zip(report.indices.tolist(), report.errors.tolist(), *flags))
+        _TRIAL_RECORD % (lsm, e1, e2, slsm, s1, s2, i) for i, ((e1, e2, s1, s2), lsm, slsm)
+        in enumerate(zip(report.errors.tolist(), *flags)))
     if records:
         # Strings are escaped inside JSON, so only the top-level key matches.
         head, tail = text.split('\n  "trials": []')
@@ -322,7 +322,7 @@ def cmd_tables(args) -> int:
     outputs: list[str] = []
     summaries: dict[str, dict] = {}
     for token, cfg in grid:
-        report = run_monte_carlo(cfg, args.reps, keep_ordinates=True)
+        report = run_monte_carlo(cfg, args.reps)
         if report.failures:
             print(f"stretchfit: every trial of {token} failed: {report.failures[0][1]}",
                   file=sys.stderr)
@@ -355,7 +355,7 @@ def cmd_tables(args) -> int:
 
         outputs += [str(table_path), str(summary_path), str(figure_path)]
         summaries[token] = {
-            "representative_trial": int(report.indices[k]),
+            "representative_trial": k,
             "win_rate_error1": report.win_rate_error1,
             "win_rate_error2": report.win_rate_error2,
             "medians": report.medians,

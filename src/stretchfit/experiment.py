@@ -88,18 +88,19 @@ class TrialConfig:
 class ExperimentReport:
     """Aggregate of a seeded Monte Carlo run, with its per-trial columns.
 
-    Row k of ``errors`` (columns in ERROR_COLUMNS order), of the fit batches
-    and of the noisy ``ordinates``, if kept, belongs to trial ``indices[k]``.
-    Win rates are exact fractions of successful trials in which the
-    stretched method is strictly better on the given metric, and None when
-    no trial succeeded; failed trials are listed and excluded.  Ties count
-    the trials whose two errors agree to TIE_RTOL; they are reported apart
-    and do not change the strict win rates.
+    Row k of the noisy ``ordinates``, of ``errors`` (columns in ERROR_COLUMNS
+    order) and of the fit batches belongs to trial k; a failure excludes
+    every trial, so then they have no rows.  Win rates are exact fractions
+    of successful trials in which the stretched method is strictly better on
+    the given metric, and None when no trial succeeded; failed trials are
+    listed and excluded.  Ties count the trials whose two errors agree to
+    TIE_RTOL; they are reported apart and do not change the strict win
+    rates.
     """
 
     config: TrialConfig
     repetitions: int
-    indices: np.ndarray
+    ordinates: np.ndarray
     errors: np.ndarray
     lsm: FitBatch
     transition: FitBatch
@@ -111,7 +112,6 @@ class ExperimentReport:
     ties_error2: int
     medians: dict[str, float] = field(default_factory=dict)
     iqrs: dict[str, float] = field(default_factory=dict)
-    ordinates: np.ndarray | None = None
 
     def column(self, name: str) -> np.ndarray:
         """The errors named ``name`` (one of ERROR_COLUMNS), one per trial."""
@@ -154,7 +154,10 @@ def error1(fitted: Callable, truth: Callable, x):
 
     A ``fitted`` that returns one row of values per fit gives one error per row.
     """
-    return _errors(fitted, truth, x)[0]
+    xv = np.asarray(x, dtype=float)
+    if xv.size == 0:
+        raise ValueError("error metrics need at least one evaluation point")
+    return np.max(np.abs(np.asarray(fitted(xv)) - np.asarray(truth(xv))), axis=-1)
 
 
 def error2(fitted: Callable, truth: Callable, x):
@@ -162,20 +165,14 @@ def error2(fitted: Callable, truth: Callable, x):
 
     A ``fitted`` that returns one row of values per fit gives one error per row.
     """
-    return _errors(fitted, truth, x)[1]
-
-
-def _errors(fitted: Callable, truth: Callable, x) -> tuple[np.ndarray, np.ndarray]:
-    """error1 and error2, both from one evaluation of the gap between the curves."""
     xv = np.asarray(x, dtype=float)
     if xv.size == 0:
         raise ValueError("error metrics need at least one evaluation point")
-    gap = np.asarray(fitted(xv)) - np.asarray(truth(xv))
-    return np.max(np.abs(gap), axis=-1), np.sqrt(np.mean(gap**2, axis=-1))
+    diff = np.asarray(fitted(xv)) - np.asarray(truth(xv))
+    return np.sqrt(np.mean(diff**2, axis=-1))
 
 
-def run_monte_carlo(cfg: TrialConfig, repetitions: int,
-                    keep_ordinates: bool = False) -> ExperimentReport:
+def run_monte_carlo(cfg: TrialConfig, repetitions: int) -> ExperimentReport:
     """Repeat the trial with derived per-trial seeds and aggregate.
 
     Trial i always draws from the stream (cfg.seed, i).  The noise of every
@@ -183,8 +180,8 @@ def run_monte_carlo(cfg: TrialConfig, repetitions: int,
     as one batch.  A failure of either excludes every trial: the trials
     share one sampler envelope and, for polynomials, one design matrix, so
     a broken envelope or a rank-deficient design is the configuration's
-    failure.  An error that is not finite (the fits overflow at an extreme
-    eta) raises ValueError naming the first such trial and column.
+    failure.  An error that is not finite (the squared gaps overflow at an
+    extreme eta) raises ValueError naming the first such trial and column.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
@@ -193,13 +190,15 @@ def run_monte_carlo(cfg: TrialConfig, repetitions: int,
     truth = cfg.truth_function()
     failures: list[tuple[int, str]] = []
     try:
-        # Overflow shows up as non-finite errors, which are reported below.
+        ys = _add_noise(cfg, truth(x), [trial_rng(cfg.seed, i) for i in range(repetitions)])
+        lsm = fit_batch(cfg.truth_model, x, ys)
+        transition, final = stretched_fit_batch(cfg.truth_model, x, ys, cfg.beta)
+        # At an extreme eta the squared gaps overflow; the non-finite errors
+        # are reported below.
         with np.errstate(over="ignore", invalid="ignore"):
-            ys = _add_noise(cfg, truth(x), [trial_rng(cfg.seed, i) for i in range(repetitions)])
-            lsm = fit_batch(cfg.truth_model, x, ys)
-            transition, final = stretched_fit_batch(cfg.truth_model, x, ys, cfg.beta)
-            errors = np.column_stack([*_errors(lsm.predict, truth, x),
-                                      *_errors(final.predict, truth, x)])
+            errors = np.column_stack([error1(lsm.predict, truth, x), error2(lsm.predict, truth, x),
+                                      error1(final.predict, truth, x),
+                                      error2(final.predict, truth, x)])
     except TRIAL_FAILURE_TYPES as exc:
         failures = [(i, f"{type(exc).__name__}: {exc}") for i in range(repetitions)]
         ys = np.empty((0, cfg.n))
@@ -227,7 +226,7 @@ def run_monte_carlo(cfg: TrialConfig, repetitions: int,
     return ExperimentReport(
         config=cfg,
         repetitions=repetitions,
-        indices=np.arange(len(errors)),
+        ordinates=ys,
         errors=errors,
         lsm=lsm,
         transition=transition,
@@ -239,7 +238,6 @@ def run_monte_carlo(cfg: TrialConfig, repetitions: int,
         ties_error2=ties[1],
         medians=medians,
         iqrs=iqrs,
-        ordinates=ys if keep_ordinates else None,
     )
 
 

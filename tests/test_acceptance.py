@@ -217,7 +217,7 @@ def test_criterion_6_statistical_comparison():
             slsm = rep.column(f"slsm_{metric}")
             wins, losses = int(np.sum(slsm < lsm)), int(np.sum(lsm < slsm))
             pooled[metric][0] += wins
-            pooled[metric][1] += len(rep.indices)
+            pooled[metric][1] += len(rep.errors)
             pvalues[metric] = sign_test_pvalue(losses, wins + losses)
             smallest_p = min(smallest_p, pvalues[metric])
             if pvalues[metric] < sign_alpha:
@@ -309,7 +309,7 @@ def test_criterion_8_determinism(tmp_path):
     short = run_monte_carlo(cfg, 10)
     long = run_monte_carlo(cfg, 20)
     prefix_ok = (short.errors.tobytes() == long.errors[:10].tobytes()
-                 and short.indices.tolist() == long.indices[:10].tolist())
+                 and short.ordinates.tobytes() == long.ordinates[:10].tobytes())
 
     ok = report(8, "determinism", not stale and prefix_ok,
                 f"rerun byte-diffs: {stale or 'none'} "

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import stretchfit.experiment as experiment
-from stretchfit import (Dataset, ModelSpec, SamplerFailureError, StretchedFit, grid_config,
-                        run_monte_carlo, stretched_fit)
+from stretchfit import (Dataset, ModelSpec, SamplerFailureError, StretchedFit, benchmark_grid,
+                        grid_config, make_noisy_dataset, run_monte_carlo, stretched_fit)
 from stretchfit.cli import _read_xy_csv, _representative_trial, main
+from stretchfit.experiment import trial_rng
 
 from kstools import ks_crit_two_sample, ks_two_sample
 
@@ -401,12 +402,11 @@ class TestExperiment:
                 "lsm_error2": e2,
                 "slsm_error1": s1,
                 "slsm_error2": s2,
-                "lsm_converged": report.lsm[k].converged,
-                "slsm_converged": StretchedFit(beta, report.transition[k],
-                                               report.final[k]).converged,
+                "lsm_converged": report.lsm[i].converged,
+                "slsm_converged": StretchedFit(beta, report.transition[i],
+                                               report.final[i]).converged,
             }
-            for k, (i, (e1, e2, s1, s2)) in enumerate(zip(report.indices.tolist(),
-                                                          report.errors.tolist()))
+            for i, (e1, e2, s1, s2) in enumerate(report.errors.tolist())
         ]
         payload = {
             "manifest": json.loads(text)["manifest"],
@@ -468,6 +468,22 @@ class TestTables:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["manifest"]["config"]["reps"] == 8
         assert "poly:b0.4:e30" in manifest["summaries"]
+
+    @pytest.mark.parametrize("token", ["poly:b0.4:e30", "sin:b0.8:e50"])
+    def test_figure_ordinates_are_the_representative_trial(self, tmp_path, token):
+        # The figure's noisy ordinates come from the batch; they must be the
+        # bits the representative trial draws alone from its own stream.
+        outdir = tmp_path / "tables"
+        assert main(["tables", "--reps", "9", "--seed", "3",
+                     "--configs", token, "--out", str(outdir)]) == 0
+        k = json.loads((outdir / "manifest.json").read_text())["summaries"][token][
+            "representative_trial"]
+        cfg = dict(benchmark_grid(3))[token]
+        figure = (outdir / f"figure_{token.replace(':', '_')}.csv").read_text().splitlines()
+        y_noisy = np.array([float(line.split(",")[1]) for line in figure[1:]])
+        expected = make_noisy_dataset(cfg, trial_rng(cfg.seed, k)).y
+        assert y_noisy.tobytes() == expected.tobytes()
+        assert y_noisy.tobytes() != make_noisy_dataset(cfg, trial_rng(cfg.seed, k + 1)).y.tobytes()
 
     def test_all_trials_failed_is_numerical_failure(self, tmp_path, capsys, failing_sampler):
         code = main(["tables", "--configs", "poly:b0.4:e30", "--reps", "3",

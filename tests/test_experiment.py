@@ -29,7 +29,7 @@ def poly_config(seed=0, beta=0.4, eta=30.0, **kw):
 def fit_summaries(report):
     """Parameter bytes and stop reason of every fit of every trial, in order."""
     return [(batch.params[k].tobytes(), batch.stop_reasons[k])
-            for k in range(len(report.indices))
+            for k in range(len(report.errors))
             for batch in (report.lsm, report.transition, report.final)]
 
 
@@ -140,10 +140,15 @@ class TestRunTrial:
         assert 0.0 < slsm_error2 < 5e-3
 
     def test_seed_recorded(self):
+        # Row k of the report is trial k: its ordinates are the bits that
+        # trial draws alone from the stream (seed, k).
         cfg = poly_config(seed=9)
         report = run_monte_carlo(cfg, 5)
         assert report.config.seed == 9
-        assert report.indices.tolist() == [0, 1, 2, 3, 4]
+        assert report.ordinates.shape == (5, cfg.n)
+        for k in range(5):
+            data = make_noisy_dataset(cfg, trial_rng(9, k))
+            assert report.ordinates[k].tobytes() == data.y.tobytes()
 
     def test_errors_match_refit_from_stored_fits(self):
         cfg = poly_config(seed=2)
@@ -174,14 +179,14 @@ class TestRunMonteCarlo:
         lsm_error1, lsm_error2, slsm_error1, slsm_error2 = report.errors.T.tolist()
         wins1 = sum(s < p for p, s in zip(lsm_error1, slsm_error1))
         wins2 = sum(s < p for p, s in zip(lsm_error2, slsm_error2))
-        assert report.win_rate_error1 == wins1 / len(report.indices)
-        assert report.win_rate_error2 == wins2 / len(report.indices)
+        assert report.win_rate_error1 == wins1 / len(report.errors)
+        assert report.win_rate_error2 == wins2 / len(report.errors)
 
     def test_ties_counted_apart_from_wins(self):
         # At beta = 1 the two methods coincide up to rounding: every trial
         # ties, while the strict win rates still count rounding-level gaps.
         report = run_monte_carlo(grid_config("poly", 1.0, 30.0, seed=0), repetitions=100)
-        assert report.ties_error1 == report.ties_error2 == len(report.indices) == 100
+        assert report.ties_error1 == report.ties_error2 == len(report.errors) == 100
         wins2 = sum(s < p for p, s in zip(report.column("lsm_error2").tolist(),
                                           report.column("slsm_error2").tolist()))
         assert report.win_rate_error2 == wins2 / 100
@@ -197,16 +202,16 @@ class TestRunMonteCarlo:
         cfg = grid_config(family, 0.4, 30.0, seed=seed)
         *shorter, longest = [run_monte_carlo(cfg, repetitions=r) for r in counts]
         for short in shorter:
-            rows = len(short.indices)
+            rows = len(short.errors)
             assert short.errors.tobytes() == longest.errors[:rows].tobytes()
-            assert short.indices.tolist() == longest.indices[:rows].tolist()
+            assert short.ordinates.tobytes() == longest.ordinates[:rows].tobytes()
             assert fit_summaries(short) == fit_summaries(longest)[:3 * rows]
 
     def test_batch_errors_match_single_trials(self):
         cfg = poly_config(seed=12)
         report = run_monte_carlo(cfg, repetitions=7)
-        for k, i in enumerate(report.indices.tolist()):
-            errors, lsm, slsm = single_trial(cfg, i)
+        for k in range(7):
+            errors, lsm, slsm = single_trial(cfg, k)
             assert errors == tuple(report.errors[k].tolist())
             assert lsm.params.tobytes() == report.lsm.params[k].tobytes()
             assert slsm.transition.params.tobytes() == report.transition.params[k].tobytes()
@@ -253,7 +258,7 @@ class TestRunMonteCarlo:
         monkeypatch.setattr(experiment, "sample_rejection", counted)
         report = run_monte_carlo(poly_config(seed=9), repetitions=12)
         assert next(calls) == 1
-        assert report.errors.shape == (0, 4) and report.indices.size == 0
+        assert report.errors.shape == (0, 4) and report.ordinates.shape == (0, 200)
         assert [i for i, _ in report.failures] == list(range(12))
         messages = {msg for _, msg in report.failures}
         assert len(messages) == 1
@@ -267,7 +272,7 @@ class TestRunMonteCarlo:
 
         monkeypatch.setattr(experiment, "fit_batch", singular)
         report = run_monte_carlo(poly_config(seed=9), repetitions=5)
-        assert report.errors.shape == (0, 4) and report.indices.size == 0
+        assert report.errors.shape == (0, 4) and report.ordinates.shape == (0, 200)
         assert [i for i, _ in report.failures] == [0, 1, 2, 3, 4]
         assert (report.win_rate_error1, report.win_rate_error2) == (None, None)
         assert report.medians == report.iqrs == {}
