@@ -48,7 +48,7 @@ from .lsq import (
     fit,
     fit_batch,
     fit_linear,
-    fit_nonlinear,
+    fit_sinusoid,
     predict,
 )
 from .stretched import StageFailure, StretchedFit, stretched_fit, stretched_fit_batch
@@ -79,7 +79,7 @@ __all__ = [
     "fit",
     "fit_batch",
     "fit_linear",
-    "fit_nonlinear",
+    "fit_sinusoid",
     "predict",
     "StageFailure",
     "StretchedFit",

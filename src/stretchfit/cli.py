@@ -144,12 +144,16 @@ def _problem(lines) -> str | None:
 def _first_bad_line(lines: list[str], start: int) -> tuple[int, str]:
     """1-based number of the first of ``lines[start:]`` that is rejected, and why.
 
-    Blocks of lines are parsed whole first, so only one block is parsed line by line.
+    Bisection: ``lines[lo:hi]`` holds a bad line, and no line before ``lo`` is bad.
     """
-    block = 1024
-    lo = next(lo for lo in range(start, len(lines), block) if _problem(lines[lo:lo + block]))
-    return next((k + 1, _problem(lines[k:k + 1])) for k in range(lo, len(lines))
-                if _problem(lines[k:k + 1]))
+    lo, hi = start, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _problem(lines[lo:mid]):
+            hi = mid
+        else:
+            lo = mid
+    return lo + 1, _problem(lines[lo:hi])
 
 
 def _read_xy_csv(path: Path) -> Dataset:

@@ -11,8 +11,9 @@ centered 2x2 normal equations, is scanned on a fixed frequency grid and
 refined by safeguarded Newton on its analytic derivatives between the best
 grid point's neighbours; the exact linear fit at the refined frequency is
 the result, so the fit needs no further polish.  The scan's sin/cos table
-depends on the abscissas alone and is cached for fits on equal abscissas,
-and a batch of sinusoid fits is a loop over its rows.
+depends on the abscissas alone: a batch sets it up once for all its rows,
+and it is cached for batches on equal abscissas.  The rest of a sinusoid
+fit is done row by row.
 """
 
 from __future__ import annotations
@@ -50,11 +51,6 @@ _SCAN_CACHE_SIZE = 4
 
 class SingularFitError(RuntimeError):
     """The linear design matrix is rank deficient."""
-
-
-# No solver raises this any more; perfbench/tracing.py still binds the name.
-class NonConvergenceError(RuntimeError):
-    """A fit missed its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -298,26 +294,28 @@ def _scan_table(key: bytes) -> tuple[np.ndarray, ...]:
     return table
 
 
-def _grid_profile(x: np.ndarray, yc: np.ndarray, tss: float) -> np.ndarray:
-    """Profile SSE at the grid frequencies, for ranking them.
+def _grid_profiles(x: np.ndarray, ycs: list[np.ndarray], tss: list[float]) -> list[np.ndarray]:
+    """Profile SSE at the grid frequencies of each centered ordinate row, for ranking them.
 
-    ``yc`` are the centered ordinates and ``tss`` their sum of squares; the
+    Entry i belongs to ``ycs[i]``, whose sum of squares is ``tss[i]``; the
     SSE is tss minus the explained sum of squares of the 2x2 normal
     equations, and degenerate columns give +inf.  Abscissas whose table fits
     one block reuse it from _scan_table; longer ones are scanned block by
-    block, uncached, to bound memory.
+    block, uncached, each block serving every row, to bound memory.  Each
+    row has its own matrix-vector products, so its values do not depend on
+    the batch.
     """
     if x.size * _GRID_POINTS <= _GRID_BLOCK:
         blocks = [_scan_table(x.tobytes())]
     else:
         blocks = _scan_blocks(x)
-    out = []
+    parts = [[] for _ in ycs]
     with np.errstate(divide="ignore", invalid="ignore"):
         for s, c, ss, cc, sc, det in blocks:
-            sy, cy = s @ yc, c @ yc
-            out.append(tss - (cc * sy * sy - 2.0 * sc * sy * cy + ss * cy * cy) / det)
-    out = np.concatenate(out)
-    return np.where(np.isfinite(out), out, np.inf)
+            for yc, t, row in zip(ycs, tss, parts):
+                sy, cy = s @ yc, c @ yc
+                row.append(t - (cc * sy * sy - 2.0 * sc * sy * cy + ss * cy * cy) / det)
+    return [np.where(np.isfinite(p), p, np.inf) for p in map(np.concatenate, parts)]
 
 
 def _linear_at(b: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -395,57 +393,56 @@ def _newton_minimize(b: float, lo: float, hi: float, u: np.ndarray, yc: np.ndarr
         b = new
 
 
-def _variable_projection(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, int, str]:
-    """Global sinusoid fit: profile scan, then Newton on the closed-form profile.
+def fit_sinusoid(x: np.ndarray, ys: np.ndarray) -> FitBatch:
+    """Least squares fit of a*sin(b*x + c) + d to each row of ``ys``.
 
-    The refinement minimises the scan's closed form between the best grid
-    point's neighbours, and the exact linear fit at its optimum is the
-    result; returns (params, sse, derivative evaluations, stop reason).
-    When that bracket touches the lowest or the highest grid frequency and
-    the exact SSE there is no worse than at the refined point, the
-    constrained optimum lies on the search domain's edge (at the low end,
-    the b -> 0 limit where the family degenerates to a quadratic): the exact
-    linear fit at that edge is returned with stop reason BOUNDARY.
-    """
-    bs = _frequency_grid(x)
-    yc = y - y.mean()
-    tss = float(yc @ yc)
-    k = int(np.argmin(_grid_profile(x, yc, tss)))
-    lo, hi = bs[max(k - 1, 0)], bs[min(k + 1, bs.size - 1)]
-    b, evaluations = _newton_minimize(float(bs[k]), float(lo), float(hi), x - x.mean(), yc, tss)
-    params, sse = _linear_at(b, x, y)
-    for edge in (lo, hi):
-        if edge in (bs[0], bs[-1]):
-            edge_params, edge_sse = _linear_at(edge, x, y)
-            if edge_sse <= sse:
-                return edge_params, edge_sse, evaluations, BOUNDARY
-    return params, sse, evaluations, TOLERANCE
-
-
-def fit_nonlinear(data: Dataset) -> FitResult:
-    """Least squares fit of a*sin(b*x + c) + d.
-
-    The fit is global over frequencies b from 2*pi / (20 * span) up to 8
-    periods over the span and below Nyquist, (n - 1) / 2 periods on n points,
-    by variable projection: a profile scan, then safeguarded Newton on the
-    profile's analytic derivatives, whose evaluations ``iterations`` counts.
-    An optimum on an edge of that domain is not raised but flagged by stop
-    reason BOUNDARY.  Data faster than the domain's upper end are not always
+    Each fit is global over frequencies b from 2*pi / (20 * span) up to 8
+    periods over the span and below Nyquist, (n - 1) / 2 periods on n
+    points: the scan, set up once per batch, ranks the grid frequencies, and
+    Newton refines the best one between its neighbours (``iterations``
+    counts its derivative evaluations).  An optimum on an edge of that
+    domain (at the low end, the b -> 0 limit where the family degenerates to
+    a quadratic) is the exact linear fit there, flagged by stop reason
+    BOUNDARY.  Data faster than the domain's upper end are not always
     flagged: a whole number of periods above 8 fits a side lobe inside the
     domain, with stop reason TOLERANCE.  The parameters are canonicalized to
-    b >= 0, a > 0, c in (-pi, pi].
+    b >= 0, a > 0, c in (-pi, pi].  Data so large that the fit overflows
+    raise ValueError.
     """
     model = ModelSpec.sinusoid()
-    if len(data) < model.n_params:
-        raise ValueError(f"sinusoid fits need at least {model.n_params} points, got {len(data)}")
-    params, sse, iters, reason = _variable_projection(data.x, data.y)
-    return FitResult(model, canonicalize_sinusoid(params), sse, iters, reason)
+    if x.size < model.n_params:
+        raise ValueError(f"sinusoid fits need at least {model.n_params} points, got {x.size}")
+    params, sse = np.empty((len(ys), model.n_params)), np.empty(len(ys))
+    iterations, reasons = np.empty(len(ys), dtype=int), [TOLERANCE] * len(ys)
+    try:
+        with np.errstate(over="raise"):
+            bs = _frequency_grid(x)
+            u = x - x.mean()
+            ycs = [y - y.mean() for y in ys]
+            tss = [float(yc @ yc) for yc in ycs]
+            for i, profile in enumerate(_grid_profiles(x, ycs, tss)):
+                k = int(np.argmin(profile))
+                lo, hi = bs[max(k - 1, 0)], bs[min(k + 1, bs.size - 1)]
+                b, iterations[i] = _newton_minimize(float(bs[k]), float(lo), float(hi),
+                                                    u, ycs[i], tss[i])
+                row, sse[i] = _linear_at(b, x, ys[i])
+                # A bracket that touches an end of the domain keeps the end if it fits no worse.
+                for edge in (lo, hi):
+                    if edge in (bs[0], bs[-1]):
+                        edge_row, edge_sse = _linear_at(edge, x, ys[i])
+                        if edge_sse <= sse[i]:
+                            row, sse[i], reasons[i] = edge_row, edge_sse, BOUNDARY
+                            break
+                params[i] = canonicalize_sinusoid(row)
+    except FloatingPointError as exc:
+        raise ValueError(f"sinusoid fit overflows ({exc}): the data are too large") from exc
+    return FitBatch(model, params, sse, tuple(iterations.tolist()), tuple(reasons))
 
 
 def fit_batch(model: ModelSpec, x, ys) -> FitBatch:
     """Fit the model to each row of the matrix ``ys``, all on the abscissas ``x``.
 
-    Dispatches to the family's solver; sinusoid rows are fitted one by one.
+    Dispatches to the family's solver.
     """
     x, ys = np.asarray(x, dtype=float), np.asarray(ys, dtype=float)
     if x.ndim != 1 or ys.ndim != 2 or ys.shape[1] != x.size:
@@ -454,9 +451,7 @@ def fit_batch(model: ModelSpec, x, ys) -> FitBatch:
         raise ValueError("observations must be finite")
     if model.family == POLYNOMIAL:
         return fit_linear(model.degree, x, ys)
-    fits = [fit_nonlinear(Dataset(x, y)) for y in ys]
-    return FitBatch(model, np.array([f.params for f in fits]), np.array([f.sse for f in fits]),
-                    tuple(f.iterations for f in fits), tuple(f.stop_reason for f in fits))
+    return fit_sinusoid(x, ys)
 
 
 def fit(model: ModelSpec, data: Dataset) -> FitResult:

@@ -22,7 +22,6 @@ from stretchfit import (
     error1,
     error2,
     fit,
-    fit_nonlinear,
     fractal_distance,
     hausdorff_derivative,
     hausdorff_integral,
@@ -129,7 +128,7 @@ def test_criterion_3_noiseless_recovery():
     quad_fit = fit(ModelSpec.polynomial(2), Dataset(x, predict(ModelSpec.polynomial(2), [1, 1, 2], x)))
     poly_gap = float(np.max(np.abs(quad_fit.params - np.array([1.0, 1.0, 2.0]))))
 
-    sin_fit = fit_nonlinear(Dataset(x, np.sin(x)))
+    sin_fit = fit(ModelSpec.sinusoid(), Dataset(x, np.sin(x)))
     sin_gap = float(np.max(np.abs(sin_fit.params - np.array([1.0, 1.0, 0.0, 0.0]))))
 
     ok = report(3, "noiseless recovery", poly_gap <= 1e-8 and sin_gap <= 1e-5,

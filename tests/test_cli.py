@@ -440,6 +440,21 @@ class TestExperiment:
             "stretchfit: error: trial 0 has a non-finite lsm_error2 (inf)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--eta", "1e155"], ["--eta", "1e308"],
+                                       ["--eta", "30", "--xmax", "1e80"]],
+                             ids=["eta1e155", "eta1e308", "xmax1e80"])
+    def test_overflowing_sinusoid_fit_is_usage_error(self, tmp_path, capsys, flags):
+        # Ordinates near 1e155 overflow their sum of squares, abscissas near
+        # 1e78 the Gram matrix of the profile's derivative columns.
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["experiment", "--model", "sin", "--beta", "0.4", *flags,
+                         "--reps", "2", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("stretchfit: error: sinusoid fit overflows (")
+        assert not out.exists()
+
 
 class TestTables:
     def test_single_config_outputs(self, tmp_path):

@@ -14,7 +14,6 @@ from stretchfit import (
     SingularFitError,
     canonicalize_sinusoid,
     fit,
-    fit_nonlinear,
     predict,
 )
 
@@ -189,22 +188,22 @@ class TestFitLinear:
 class TestFitNonlinear:
     def test_noiseless_sine_recovery(self):
         x = np.linspace(0.0, 1.0, 200)
-        fit = fit_nonlinear(Dataset(x, np.sin(x)))
-        np.testing.assert_allclose(fit.params, [1.0, 1.0, 0.0, 0.0], atol=1e-6)
-        assert fit.converged
+        result = fit(ModelSpec.sinusoid(), Dataset(x, np.sin(x)))
+        np.testing.assert_allclose(result.params, [1.0, 1.0, 0.0, 0.0], atol=1e-6)
+        assert result.converged
 
     def test_generate_and_recover(self):
         truth = np.array([2.0, 0.5, 0.3, -1.0])
         x = np.linspace(0.0, 1.0, 200)
-        fit = fit_nonlinear(Dataset(x, sin_curve(truth, x)))
-        np.testing.assert_allclose(fit.params, truth, atol=1e-6)
+        result = fit(ModelSpec.sinusoid(), Dataset(x, sin_curve(truth, x)))
+        np.testing.assert_allclose(result.params, truth, atol=1e-6)
 
     def test_canonical_form(self):
         rng = np.random.default_rng(17)
         x = np.linspace(0.0, 3.0, 150)
         y = sin_curve((-1.3, 2.0, 2.8, 0.1), x) + rng.normal(0.0, 0.05, x.size)
-        fit = fit_nonlinear(Dataset(x, y))
-        a, _, c, _ = fit.params
+        result = fit(ModelSpec.sinusoid(), Dataset(x, y))
+        a, _, c, _ = result.params
         assert a > 0.0
         assert -math.pi < c <= math.pi
 
@@ -224,16 +223,16 @@ class TestFitNonlinear:
         rng = np.random.default_rng(23)
         x = np.linspace(0.0, 1.0, 200)
         y = np.sin(x) + rng.normal(0.0, 0.3, x.size)
-        fit = fit_nonlinear(Dataset(x, y))
-        r = sin_curve(fit.params, x) - y
-        assert np.max(np.abs(sin_jacobian(fit.params, x).T @ r)) <= 1e-6 * (1.0 + fit.sse)
+        result = fit(ModelSpec.sinusoid(), Dataset(x, y))
+        r = sin_curve(result.params, x) - y
+        assert np.max(np.abs(sin_jacobian(result.params, x).T @ r)) <= 1e-6 * (1.0 + result.sse)
 
     def test_deterministic_including_multistart(self):
         rng = np.random.default_rng(31)
         x = np.linspace(0.0, 1.0, 150)
         y = np.sin(x) + rng.normal(0.0, 0.5, x.size)
-        a = fit_nonlinear(Dataset(x, y))
-        b = fit_nonlinear(Dataset(x, y))
+        a = fit(ModelSpec.sinusoid(), Dataset(x, y))
+        b = fit(ModelSpec.sinusoid(), Dataset(x, y))
         assert a.params.tobytes() == b.params.tobytes()
         assert (a.sse, a.iterations, a.converged) == (b.sse, b.iterations, b.converged)
 
@@ -256,7 +255,7 @@ class TestFitNonlinear:
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            fit_nonlinear(Dataset([0.0, 1.0, 2.0], [0.1, 0.2, 0.3]))
+            fit(ModelSpec.sinusoid(), Dataset([0.0, 1.0, 2.0], [0.1, 0.2, 0.3]))
 
     def test_boundary_optimum_is_flagged(self):
         # On [0, 1] the noisy sin(x) profile often falls toward b -> 0, where
@@ -264,15 +263,15 @@ class TestFitNonlinear:
         # grid frequency, exactly solved there, and says so.
         x = np.linspace(0.0, 1.0, 200)
         y = np.sin(x) + np.random.default_rng(0).normal(0.0, 0.3, x.size)
-        fit = fit_nonlinear(Dataset(x, y))
-        assert fit.stop_reason == "boundary"
-        assert fit.converged is False
-        assert fit.params[1] == 2.0 * math.pi / 20
-        r = sin_curve(fit.params, x) - y
-        assert fit.sse == pytest.approx(r @ r, rel=1e-12)
+        result = fit(ModelSpec.sinusoid(), Dataset(x, y))
+        assert result.stop_reason == "boundary"
+        assert result.converged is False
+        assert result.params[1] == 2.0 * math.pi / 20
+        r = sin_curve(result.params, x) - y
+        assert result.sse == pytest.approx(r @ r, rel=1e-12)
         quad = np.polyval(np.polyfit(x, y, 2), x) - y
         tss = float(np.sum((y - y.mean()) ** 2))
-        assert quad @ quad <= fit.sse <= quad @ quad + 1e-3 * tss
+        assert quad @ quad <= result.sse <= quad @ quad + 1e-3 * tss
 
     def test_upper_boundary_optimum_is_flagged(self):
         # 12.5 periods on [0, 1] lie above the search domain's 8: the profile
@@ -281,14 +280,14 @@ class TestFitNonlinear:
         # 8 and fall onto a side lobe instead.)
         x = np.linspace(0.0, 1.0, 200)
         y = np.sin(2.0 * math.pi * 12.5 * x)
-        fit = fit_nonlinear(Dataset(x, y))
-        assert fit.stop_reason == "boundary"
-        assert fit.converged is False
-        assert fit.params[1] == 8 * 2.0 * math.pi
-        r = sin_curve(fit.params, x) - y
-        assert fit.sse == pytest.approx(r @ r, rel=1e-12)
+        result = fit(ModelSpec.sinusoid(), Dataset(x, y))
+        assert result.stop_reason == "boundary"
+        assert result.converged is False
+        assert result.params[1] == 8 * 2.0 * math.pi
+        r = sin_curve(result.params, x) - y
+        assert result.sse == pytest.approx(r @ r, rel=1e-12)
         inside = lsq._linear_at(lsq._frequency_grid(x)[-2], x, y)[1]
-        assert fit.sse < inside
+        assert result.sse < inside
 
     def test_global_optimum_against_dense_profile(self):
         # Every fit not stopped at the boundary is at least as good as an
@@ -304,12 +303,12 @@ class TestFitNonlinear:
             truth = (rng.uniform(0.2, 3.0), base * rng.uniform(0.1, 7.5),
                      rng.uniform(-math.pi, math.pi), rng.uniform(-2.0, 2.0))
             y = sin_curve(truth, x) + rng.normal(0.0, rng.uniform(0.0, 1.5), n)
-            fit = fit_nonlinear(Dataset(x, y))
-            if fit.stop_reason == "boundary":
+            result = fit(ModelSpec.sinusoid(), Dataset(x, y))
+            if result.stop_reason == "boundary":
                 continue
-            evaluations.append(fit.iterations)
-            assert fit.converged
-            assert fit.sse <= (1.0 + 1e-9) * dense_profile_reference(x, y)
+            evaluations.append(result.iterations)
+            assert result.converged
+            assert result.sse <= (1.0 + 1e-9) * dense_profile_reference(x, y)
         assert len(evaluations) >= 50
         # Newton from the grid point needs a few derivative evaluations; a
         # refinement that falls back to bisection needs about 20.
@@ -327,8 +326,8 @@ class TestFitNonlinear:
             x = h * np.arange(n) + rng.uniform(-5.0, 5.0)
             y = rng.normal(0.0, 1.0, n)
             tss = float(np.sum((y - y.mean()) ** 2))
-            fit = fit_nonlinear(Dataset(x, y))
-            assert fit.sse <= dense_profile(x, y)[1].min() + 0.05 * tss, (n, h)
+            result = fit(ModelSpec.sinusoid(), Dataset(x, y))
+            assert result.sse <= dense_profile(x, y)[1].min() + 0.05 * tss, (n, h)
 
 
 class TestProfileKernels:
@@ -349,7 +348,7 @@ class TestProfileKernels:
         bs = lsq._frequency_grid(x)
         exact = np.array([lsq._linear_at(b, x, y)[1] for b in bs])
         closed = np.array([lsq._profile_derivatives(b, x - x.mean(), yc, tss)[0] for b in bs])
-        scan = lsq._grid_profile(x, yc, tss)
+        scan = lsq._grid_profiles(x, [yc], [tss])[0]
         assert np.max(np.abs(closed - exact)) <= 1e-12 * tss
         assert np.max(np.abs(scan - exact)) <= 1e-12 * tss
 
@@ -383,8 +382,8 @@ class TestProfileKernels:
             yc = y - y.mean()
             tss = float(yc @ yc)
             lsq._scan_table.cache_clear()
-            cold = lsq._grid_profile(x, yc, tss)
-            warm = lsq._grid_profile(x.copy(), yc, tss)
+            cold = lsq._grid_profiles(x, [yc], [tss])[0]
+            warm = lsq._grid_profiles(x.copy(), [yc], [tss])[0]
             assert lsq._scan_table.cache_info().hits == 1
             assert warm.tobytes() == cold.tobytes()
 
@@ -392,7 +391,7 @@ class TestProfileKernels:
         x = np.linspace(0.0, 1.0, 2000)
         y = np.sin(3.0 * x) + np.random.default_rng(53).normal(0.0, 0.3, x.size)
         lsq._scan_table.cache_clear()
-        fit_nonlinear(Dataset(x, y))
+        fit(ModelSpec.sinusoid(), Dataset(x, y))
         assert lsq._scan_table.cache_info().currsize == 0
 
 
@@ -406,15 +405,41 @@ class TestFitBatch:
     @pytest.mark.parametrize("model", [ModelSpec.polynomial(2), ModelSpec.sinusoid()],
                              ids=["poly", "sin"])
     def test_single_fit_equals_batch_row(self, model):
+        # A sinusoid scan at n = 200 comes from the cached table, at n = 1,000
+        # block by block; both sizes have rows of both stop reasons.
+        for n in (200, 1000):
+            x = np.linspace(0.0, 1.0, n)
+            ys = self.rows(x, 5, 67)
+            batch = lsq.fit_batch(model, x, ys)
+            for i, y in enumerate(ys):
+                single, row = fit(model, Dataset(x, y)), batch[i]
+                assert single.params.tobytes() == row.params.tobytes()
+                assert (single.sse, single.iterations, single.stop_reason) == (
+                    row.sse, row.iterations, row.stop_reason)
+                assert single.predict(x).tobytes() == batch.predict(x)[i].tobytes()
+            if model == ModelSpec.sinusoid():
+                assert {"boundary", "tolerance"} <= set(batch.stop_reasons)
+
+    def test_sinusoid_scan_set_up_once_per_batch(self, monkeypatch):
+        # Above 409 points the scan table is not cached: a batch builds it
+        # block by block once, and every row is evaluated inside each block.
+        calls = []
+        scan_blocks = lsq._scan_blocks
+        monkeypatch.setattr(lsq, "_scan_blocks", lambda x: calls.append(x) or scan_blocks(x))
+        x = np.linspace(0.0, 1.0, 1000)
+        batch = lsq.fit_batch(ModelSpec.sinusoid(), x, self.rows(x, 5, 67))
+        assert len(batch.sse) == 5
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("model", [ModelSpec.polynomial(2), ModelSpec.sinusoid()],
+                             ids=["poly", "sin"])
+    def test_empty_batch(self, model):
         x = np.linspace(0.0, 1.0, 200)
-        ys = self.rows(x, 5, 67)
-        batch = lsq.fit_batch(model, x, ys)
-        for i, y in enumerate(ys):
-            single, row = fit(model, Dataset(x, y)), batch[i]
-            assert single.params.tobytes() == row.params.tobytes()
-            assert (single.sse, single.iterations, single.stop_reason) == (
-                row.sse, row.iterations, row.stop_reason)
-            assert single.predict(x).tobytes() == batch.predict(x)[i].tobytes()
+        batch = lsq.fit_batch(model, x, np.empty((0, x.size)))
+        assert batch.params.shape == (0, model.n_params)
+        assert batch.sse.shape == (0,)
+        assert (batch.iterations, batch.stop_reasons) == ((), ())
+        assert batch.predict(x).shape == (0, x.size)
 
     def test_polynomial_rows_do_not_depend_on_batch_size(self):
         # A BLAS matrix product changes a row's last bits with the row count.
