@@ -7,10 +7,10 @@ of variance c/2; at beta = 0.5 it is a Laplace law of scale c.
 Sampling exploits that |X|^(2*beta) / c is Gamma-distributed with shape
 1/(2*beta) and unit scale, so a draw is X = S * (c * G)**(1/(2*beta)) with
 S a random sign.  Two routes to G are provided: ``sample_exact`` delegates
-to numpy's gamma generator and serves as an independent oracle, while
+to numpy's gamma generator and draws the Monte Carlo's noise, while
 ``sample_rejection`` uses a hand-rolled squeeze-type acceptance-rejection
 scheme (with shape boosting for shapes below one) so the two can be tested
-against each other.
+against each other.  Both take their signs from the same raw words.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Hard budget of proposal rounds per sampler call, shared by the rows of a
-# batch; exceeding it signals a broken envelope rather than an unlucky stream.
+# Hard budget of proposal rounds per sampler call; exceeding it signals a
+# broken envelope rather than an unlucky stream.
 REJECTION_PROPOSAL_CAP = 10_000
 
 
@@ -114,18 +114,44 @@ def absolute_moment(law: StretchedGaussian, k: int) -> float:
     return law.scale ** (k / two_beta) * math.exp(log_ratio)
 
 
+def _sign_words(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The raw words whose bits sign ``n`` variates.
+
+    Bit 31 and then bit 63 of each word are the bits ``rng.integers(0, 2, n)``
+    returns, read from the raw stream, which numpy keeps stable across
+    versions.  That split needs 64-bit raw words, which MT19937 lacks.
+    """
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        raise TypeError("the samplers need a 64-bit bit generator, not MT19937")
+    return rng.bit_generator.random_raw((n + 1) // 2)
+
+
 def _attach_sign_and_scale(law: StretchedGaussian, gamma_draws: np.ndarray,
-                           bits: np.ndarray) -> np.ndarray:
-    """Variates of the law from Gamma draws and sign bits of the same shape."""
-    return (bits * 2 - 1) * (law.scale * gamma_draws) ** (1.0 / (2.0 * law.beta))
+                           words: np.ndarray) -> np.ndarray:
+    """Variates of the law from Gamma draws, signed by their rows' ``_sign_words``."""
+    x = (law.scale * gamma_draws) ** (1.0 / (2.0 * law.beta))
+    bits = ((words[..., None] >> np.uint64([31, 63])) & 1).reshape(*words.shape[:-1], -1)
+    return np.negative(x, out=x, where=bits[..., :x.shape[-1]] == 0)
 
 
-def sample_exact(law: StretchedGaussian, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw ``n`` variates via the Gamma transform (oracle sampler)."""
+def sample_exact(law: StretchedGaussian,
+                 rng: np.random.Generator | Sequence[np.random.Generator], n: int) -> np.ndarray:
+    """Draw ``n`` variates via the Gamma transform, by numpy's gamma generator.
+
+    ``rng`` is a generator, or a sequence of generators for a batch: then
+    each draws one row of the ``(len(rng), n)`` result, with the same bits
+    it gives alone.
+    """
     if n < 1:
         raise ValueError(f"sample count must be at least 1, got {n}")
-    g = rng.gamma(law.gamma_shape, 1.0, n)
-    return _attach_sign_and_scale(law, g, rng.integers(0, 2, n))
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    if not rngs:
+        raise ValueError("a batch needs at least one generator")
+    # Each generator draws its Gamma row, then its sign words.
+    g = np.array([r.standard_gamma(law.gamma_shape, n) for r in rngs])
+    samples = _attach_sign_and_scale(law, g, np.array([_sign_words(r, n) for r in rngs]))
+    return samples[0] if single else samples
 
 
 @dataclass(frozen=True)
@@ -140,39 +166,23 @@ class RejectionStats:
         return self.accepted / self.proposals if self.proposals else float("nan")
 
 
-def _gamma_rejection(shape: float, rngs: list[np.random.Generator],
-                     n: int) -> tuple[np.ndarray, int]:
-    """Gamma(shape, 1) draws for shape >= 1 by squeeze-type rejection, a row per generator.
+def _gamma_rejection(shape: float, rng: np.random.Generator, n: int) -> tuple[np.ndarray, int]:
+    """Gamma(shape, 1) draws for shape >= 1 by squeeze-type rejection.
 
     Proposes z ~ N(0,1), forms v = (1 + z/sqrt(9d))**3 with d = shape - 1/3,
     and accepts d*v when u < 1 - 0.0331 z**4 (fast squeeze) or when
-    log u < z**2/2 + d (1 - v + log v).  Each round asks the generator of
-    every unfilled row for as many normals, then uniforms, as the row
-    lacks, so a row never depends on the others.  The tests run once over
-    the round's proposals, and each accepted value goes to the next free
-    slot of its row.  Returns the draws plus the total proposal count.
+    log u < z**2/2 + d (1 - v + log v).  Each round draws as many normals,
+    then uniforms, as values are missing.  Returns the draws plus the
+    proposal count.
     """
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty((len(rngs), n))
-    filled = np.zeros(len(rngs), dtype=np.intp)
-    pending = np.arange(len(rngs))
-    proposals = 0
-    rounds = 0
-    while pending.size:
-        rounds += 1
-        if rounds > REJECTION_PROPOSAL_CAP:
-            raise SamplerFailureError(
-                f"no acceptance after {REJECTION_PROPOSAL_CAP} proposal rounds "
-                f"(shape={shape}); envelope constants are broken"
-            )
-        wanted = n - filled[pending]
-        ends = np.cumsum(wanted)
-        z = np.empty(ends[-1])
-        u = np.empty(ends[-1])
-        for j, lo, hi in zip(pending.tolist(), (ends - wanted).tolist(), ends.tolist()):
-            rngs[j].standard_normal(out=z[lo:hi])
-            rngs[j].random(out=u[lo:hi])
+    out = np.empty(n)
+    filled = proposals = 0
+    for _ in range(REJECTION_PROPOSAL_CAP):
+        wanted = n - filled
+        z = rng.standard_normal(wanted)
+        u = rng.random(wanted)
         v = (1.0 + c * z) ** 3
         positive = v > 0.0
         # z**4 as a square of squares: numpy's fast pow covers positive bases only.
@@ -182,47 +192,38 @@ def _gamma_rejection(shape: float, rngs: list[np.random.Generator],
         if np.any(slow):
             vs = v[slow]
             accept[slow] = np.log(u[slow]) < 0.5 * z2[slow] + d * (1.0 - vs + np.log(vs))
-        # Proposals come row by row, so a row's accepted values are contiguous
-        # in ``rows`` and keep their order; rank them within the row.
-        rows = np.repeat(pending, wanted)[accept]
-        k = np.bincount(rows, minlength=len(rngs))
-        rank = np.arange(rows.size) - (np.cumsum(k) - k)[rows]
-        out[rows, filled[rows] + rank] = d * v[accept]
-        filled += k
-        proposals += int(ends[-1])
-        pending = np.flatnonzero(filled < n)
-    return out, proposals
+        kept = d * v[accept]
+        out[filled:filled + kept.size] = kept
+        filled += kept.size
+        proposals += wanted
+        if filled == n:
+            return out, proposals
+    raise SamplerFailureError(
+        f"no acceptance after {REJECTION_PROPOSAL_CAP} proposal rounds "
+        f"(shape={shape}); envelope constants are broken"
+    )
 
 
-def sample_rejection(law: StretchedGaussian,
-                     rng: np.random.Generator | Sequence[np.random.Generator], n: int,
+def sample_rejection(law: StretchedGaussian, rng: np.random.Generator, n: int,
                      return_stats: bool = False):
     """Draw ``n`` variates via acceptance-rejection at the Gamma level.
 
     For shapes below one the boosting identity G_a = G_(a+1) * U**(1/a)
     lifts the rejection to shape a + 1, which keeps a single envelope valid
-    for every beta in (0, 1].  ``rng`` is a generator, or a sequence of
-    generators for a batch: then each draws one row of the ``(len(rng), n)``
-    result, with the same bits it would give alone.  With ``return_stats``
-    the proposal ledger of the whole batch is returned alongside the draws.
+    for every beta in (0, 1].  With ``return_stats`` the proposal ledger is
+    returned alongside the draws.
     """
     if n < 1:
         raise ValueError(f"sample count must be at least 1, got {n}")
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
-    if not rngs:
-        raise ValueError("a batch needs at least one generator")
     a = law.gamma_shape
     if a >= 1.0:
-        g, proposals = _gamma_rejection(a, rngs, n)
+        g, proposals = _gamma_rejection(a, rng, n)
     else:
-        g, proposals = _gamma_rejection(a + 1.0, rngs, n)
-        g = g * np.array([r.random(n) for r in rngs]) ** (1.0 / a)
-    samples = _attach_sign_and_scale(law, g, np.array([r.integers(0, 2, n) for r in rngs]))
-    if single:
-        samples = samples[0]
+        g, proposals = _gamma_rejection(a + 1.0, rng, n)
+        g = g * rng.random(n) ** (1.0 / a)
+    samples = _attach_sign_and_scale(law, g, _sign_words(rng, n))
     if return_stats:
-        return samples, RejectionStats(proposals=proposals, accepted=samples.size)
+        return samples, RejectionStats(proposals=proposals, accepted=n)
     return samples
 
 

@@ -18,12 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distribution import (
-    SamplerFailureError,
-    StretchedGaussian,
-    sample_rejection,
-    standardize,
-)
+from .distribution import StretchedGaussian, sample_exact, standardize
 from .lsq import (
     Dataset,
     FitBatch,
@@ -34,10 +29,10 @@ from .lsq import (
 )
 from .stretched import StageFailure, stretched_fit_batch
 
-# Sampler and fit errors that mark the batch's trials failed (excluded from
-# win rates) rather than aborting the whole Monte Carlo run.  A fit that did
-# not converge is not among them: it is kept and flagged by its stop reason.
-TRIAL_FAILURE_TYPES = (SamplerFailureError, SingularFitError, StageFailure)
+# Fit errors that mark the batch's trials failed (excluded from win rates)
+# rather than aborting the whole Monte Carlo run.  A fit that did not
+# converge is not among them: it is kept and flagged by its stop reason.
+TRIAL_FAILURE_TYPES = (SingularFitError, StageFailure)
 
 ERROR_COLUMNS = ("lsm_error1", "lsm_error2", "slsm_error1", "slsm_error2")
 
@@ -141,11 +136,12 @@ def make_noisy_dataset(cfg: TrialConfig, rng: np.random.Generator) -> Dataset:
 def _add_noise(cfg: TrialConfig, y: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
     """One row per generator: ``y`` plus the configuration's noise drawn from it.
 
-    The rows are drawn as one batch, each with the bits its generator gives
-    alone.  With eta = 0 no noise is drawn and every row is ``y``.
+    The rows are drawn by the Gamma transform as one batch, each with the
+    bits its generator gives alone.  With eta = 0 no noise is drawn and
+    every row is ``y``.
     """
     if cfg.eta > 0.0:
-        return y + standardize(sample_rejection(cfg.noise_law, rngs, cfg.n)) * (cfg.eta / 100.0)
+        return y + standardize(sample_exact(cfg.noise_law, rngs, cfg.n)) * (cfg.eta / 100.0)
     return np.tile(y, (len(rngs), 1))
 
 
@@ -177,11 +173,11 @@ def run_monte_carlo(cfg: TrialConfig, repetitions: int) -> ExperimentReport:
 
     Trial i always draws from the stream (cfg.seed, i).  The noise of every
     trial is drawn as one batch, and the trials are then fitted and scored
-    as one batch.  A failure of either excludes every trial: the trials
-    share one sampler envelope and, for polynomials, one design matrix, so
-    a broken envelope or a rank-deficient design is the configuration's
-    failure.  An error that is not finite (the squared gaps overflow at an
-    extreme eta) raises ValueError naming the first such trial and column.
+    as one batch.  A fit failure excludes every trial: for polynomials the
+    trials share one design matrix, so a rank-deficient design is the
+    configuration's failure.  An error that is not finite (the squared gaps
+    overflow at an extreme eta) raises ValueError naming the first such
+    trial and column.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import stretchfit.experiment as experiment
-from stretchfit import (Dataset, ModelSpec, SamplerFailureError, StretchedFit, benchmark_grid,
+from stretchfit import (Dataset, ModelSpec, SingularFitError, StretchedFit, benchmark_grid,
                         grid_config, make_noisy_dataset, run_monte_carlo, stretched_fit)
 from stretchfit.cli import _read_xy_csv, _representative_trial, main
 from stretchfit.experiment import trial_rng
@@ -27,10 +27,10 @@ def strict_json(text):
 
 
 @pytest.fixture
-def failing_sampler(monkeypatch):
+def failing_fit(monkeypatch):
     def fail(*args, **kwargs):
-        raise SamplerFailureError("synthetic failure")
-    monkeypatch.setattr(experiment, "sample_rejection", fail)
+        raise SingularFitError("synthetic failure")
+    monkeypatch.setattr(experiment, "fit_batch", fail)
 
 
 def read_sample_file(path):
@@ -317,17 +317,17 @@ class TestExperiment:
                                           "slsm_error1", "slsm_error2"}
 
     def test_stretched_converged_covers_both_stages(self, tmp_path):
-        # Trial 9 of sin:b0.4:e50 at seed 6 (a row of acceptance criterion 6):
+        # Trial 6 of sin:b0.4:e50 at seed 3 (a row of acceptance criterion 6):
         # the transition stage stops on the frequency boundary while the
         # final stage converges, so the stretched fit is not converged.
-        stages = run_monte_carlo(grid_config("sin", 0.4, 50.0, seed=6), 10)
-        assert (stages.transition.stop_reasons[9], stages.final.stop_reasons[9]) == ("boundary", "tolerance")
+        stages = run_monte_carlo(grid_config("sin", 0.4, 50.0, seed=3), 10)
+        assert (stages.transition.stop_reasons[6], stages.final.stop_reasons[6]) == ("boundary", "tolerance")
         out = tmp_path / "report.json"
         code = main(["experiment", "--model", "sin", "--beta", "0.4", "--eta", "50",
-                     "--reps", "10", "--seed", "6", "--out", str(out)])
+                     "--reps", "10", "--seed", "3", "--out", str(out)])
         assert code == 0
-        trial = json.loads(out.read_text())["trials"][9]
-        assert trial["trial"] == 9
+        trial = json.loads(out.read_text())["trials"][6]
+        assert trial["trial"] == 6
         assert trial["slsm_converged"] is False
 
     @pytest.mark.parametrize("command", [
@@ -357,7 +357,7 @@ class TestExperiment:
         assert value in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
-    def test_all_trials_failed_writes_null_win_rates(self, tmp_path, failing_sampler):
+    def test_all_trials_failed_writes_null_win_rates(self, tmp_path, failing_fit):
         out = tmp_path / "report.json"
         code = main(["experiment", "--model", "poly", "--beta", "0.4", "--eta", "30",
                      "--reps", "3", "--out", str(out)])
@@ -375,9 +375,9 @@ class TestExperiment:
 
     @pytest.mark.parametrize("model, beta, eta, seed, reps, failing", [
         ("poly", 0.8, 50.0, 3, 250, False),
-        # Trial 9's transition stage stops on the frequency boundary, and
-        # trial 15's plain fit does.
-        ("sin", 0.4, 50.0, 6, 16, False),
+        # Trial 6's transition stage stops on the frequency boundary, and
+        # trial 2's plain fit does.
+        ("sin", 0.4, 50.0, 3, 16, False),
         # Every trial has the same errors.
         ("poly", 0.4, 0.0, 0, 6, False),
         # Every trial fails: null win rates, no trials.
@@ -388,7 +388,7 @@ class TestExperiment:
         # The report's trials are formatted from its columns; the file must be
         # the bytes json.dumps writes for one dict per trial.
         if failing:
-            request.getfixturevalue("failing_sampler")
+            request.getfixturevalue("failing_fit")
         out = tmp_path / "report.json"
         code = main(["experiment", "--model", model, "--beta", str(beta), "--eta", str(eta),
                      "--reps", str(reps), "--seed", str(seed), "--out", str(out)])
@@ -424,8 +424,8 @@ class TestExperiment:
         }
         assert len(trials) == (0 if failing else reps)
         if model == "sin":
-            assert trials[9]["slsm_converged"] is False
-            assert (trials[15]["lsm_converged"], trials[15]["slsm_converged"]) == (False, True)
+            assert trials[6]["slsm_converged"] is False
+            assert (trials[2]["lsm_converged"], trials[2]["slsm_converged"]) == (False, True)
         assert text == json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def test_non_finite_errors_are_usage_error(self, tmp_path, capsys):
@@ -500,7 +500,7 @@ class TestTables:
         assert y_noisy.tobytes() == expected.tobytes()
         assert y_noisy.tobytes() != make_noisy_dataset(cfg, trial_rng(cfg.seed, k + 1)).y.tobytes()
 
-    def test_all_trials_failed_is_numerical_failure(self, tmp_path, capsys, failing_sampler):
+    def test_all_trials_failed_is_numerical_failure(self, tmp_path, capsys, failing_fit):
         code = main(["tables", "--configs", "poly:b0.4:e30", "--reps", "3",
                      "--out", str(tmp_path / "t")])
         assert code == 4

@@ -28,7 +28,7 @@ def law_with_scale(beta: float, c: float, alpha: float = 1.0) -> StretchedGaussi
 
 
 def per_trial_noise(law: StretchedGaussian, rng: np.random.Generator, n: int):
-    """The sampler as it ran one generator at a time, kept as the batch's oracle.
+    """The rejection sampler written out plainly, kept as its oracle.
 
     Squeeze rejection at shape a (a + 1 below one), the boost, signs and
     scale, then standardization of the vector.  Returns the raw draws, the
@@ -60,6 +60,11 @@ def per_trial_noise(law: StretchedGaussian, rng: np.random.Generator, n: int):
     signs = rng.integers(0, 2, n) * 2 - 1
     raw = signs * (law.scale * g) ** (1.0 / (2.0 * law.beta))
     return raw, (raw - raw.mean()) / raw.std(ddof=1), proposals
+
+
+def streams(size, seed=3):
+    """Generators of the streams (seed, 0), ..., (seed, size - 1)."""
+    return [np.random.default_rng([seed, i]) for i in range(size)]
 
 
 def kernel_quad(beta: float, c: float, weight=lambda x: 1.0) -> float:
@@ -264,27 +269,23 @@ class TestSamplers:
 
 
 class TestBatchedRejection:
-    N = 200
+    """The rejection sampler over many streams, each drawn alone."""
 
-    @staticmethod
-    def streams(size, seed=3):
-        return [np.random.default_rng([seed, i]) for i in range(size)]
+    N = 200
 
     @pytest.mark.parametrize("size", [1, 2, 7, 250])
     @pytest.mark.parametrize("beta", [0.3, 0.4, 0.8, 1.0])
     def test_rows_bit_equal_to_per_trial_oracle(self, beta, size):
         law = law_with_scale(beta, 1.0)
-        batch, stats = sample_rejection(law, self.streams(size), self.N, return_stats=True)
-        assert batch.shape == (size, self.N)
-        expected = [per_trial_noise(law, rng, self.N) for rng in self.streams(size)]
-        # Some row's first round rejected a proposal, so a later round refilled it.
+        expected = [per_trial_noise(law, rng, self.N) for rng in streams(size)]
+        # Some stream's first round rejected a proposal, so a later round refilled it.
         assert any(proposals > self.N for _, _, proposals in expected)
-        standardized = standardize(batch)
-        for k, (raw, std, _) in enumerate(expected):
-            assert batch[k].tobytes() == raw.tobytes()
-            assert standardized[k].tobytes() == std.tobytes()
-        assert stats.proposals == sum(proposals for _, _, proposals in expected)
-        assert stats.accepted == size * self.N
+        for rng, (raw, std, proposals) in zip(streams(size), expected):
+            row, stats = sample_rejection(law, rng, self.N, return_stats=True)
+            assert row.shape == (self.N,)
+            assert row.tobytes() == raw.tobytes()
+            assert standardize(row).tobytes() == std.tobytes()
+            assert (stats.proposals, stats.accepted) == (proposals, self.N)
 
     @pytest.mark.parametrize("beta", [0.4, 0.8])
     def test_single_generator_is_a_batch_of_one(self, beta):
@@ -296,13 +297,55 @@ class TestBatchedRejection:
         assert (stats.proposals, stats.accepted) == (proposals, 50)
 
     def test_batch_over_the_round_cap_raises_once(self, monkeypatch):
+        # Stream (3, 0) needs a second round at beta 0.4.
         monkeypatch.setattr(distribution, "REJECTION_PROPOSAL_CAP", 1)
         with pytest.raises(SamplerFailureError, match="after 1 proposal rounds"):
-            sample_rejection(law_with_scale(0.4, 1.0), self.streams(20), self.N)
+            sample_rejection(law_with_scale(0.4, 1.0), streams(1)[0], self.N)
+
+
+class TestBatchedExact:
+    """The Gamma-transform sampler, one row per generator of a batch."""
+
+    N = 200
+
+    @pytest.mark.parametrize("beta", [0.3, 0.8, 1.0])
+    def test_rows_bit_equal_to_single_draws(self, beta):
+        law = law_with_scale(beta, 2.0)
+        batch = sample_exact(law, streams(7), self.N)
+        assert batch.shape == (7, self.N)
+        for row, rng in zip(batch, streams(7)):
+            assert row.tobytes() == sample_exact(law, rng, self.N).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 200, 201])
+    def test_same_draws_as_gamma_with_integer_signs(self, n):
+        law = law_with_scale(0.6, 2.0)
+        rng = np.random.default_rng(67)
+        g = rng.gamma(law.gamma_shape, 1.0, n)
+        expected = (rng.integers(0, 2, n) * 2 - 1) * (law.scale * g) ** (1.0 / (2.0 * law.beta))
+        assert sample_exact(law, np.random.default_rng(67), n).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 200, 201])
+    def test_sign_words_give_the_bits_of_integers(self, n):
+        # Both samplers sign from raw words: bit 31, then bit 63, of each.
+        # These must be the bits integers(0, 2, n) returns at the same point
+        # of a stream that has drawn normals and uniforms before.
+        a, b = np.random.default_rng(61), np.random.default_rng(61)
+        for rng in (a, b):
+            rng.standard_normal(5)
+            rng.random(3)
+        unit = law_with_scale(0.5, 1.0)  # maps a unit Gamma draw to magnitude 1
+        signs = distribution._attach_sign_and_scale(unit, np.ones(n),
+                                                    distribution._sign_words(a, n))
+        assert signs.tobytes() == (b.integers(0, 2, n) * 2 - 1.0).tobytes()
+
+    def test_32_bit_generator_rejected(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(TypeError, match="MT19937"):
+            sample_exact(law_with_scale(0.5, 1.0), rng, 10)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            sample_rejection(law_with_scale(0.4, 1.0), [], self.N)
+            sample_exact(law_with_scale(0.4, 1.0), [], self.N)
 
 
 class TestStandardize:

@@ -1,12 +1,10 @@
 """Noisy data generation, error metrics, trials, and the Monte Carlo loop."""
 
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-import stretchfit.distribution as distribution
 import stretchfit.experiment as experiment
 import stretchfit.lsq as lsq
 from stretchfit import (
@@ -17,6 +15,8 @@ from stretchfit import (
     error2,
     make_noisy_dataset,
     run_monte_carlo,
+    sample_exact,
+    standardize,
     stretched_fit,
 )
 from stretchfit.experiment import ERROR_COLUMNS, TIE_RTOL, trial_rng
@@ -207,6 +207,18 @@ class TestRunMonteCarlo:
             assert short.ordinates.tobytes() == longest.ordinates[:rows].tobytes()
             assert fit_summaries(short) == fit_summaries(longest)[:3 * rows]
 
+    @pytest.mark.parametrize("reps", [1, 7, 250])
+    @pytest.mark.parametrize("beta", [0.4, 0.8, 1.0])
+    def test_noise_rows_are_gamma_transform_draws(self, beta, reps):
+        # Row k's noise is the Gamma-transform draw of trial k's own stream,
+        # standardized, whatever the number of trials.
+        cfg = poly_config(seed=4, beta=beta)
+        report = run_monte_carlo(cfg, reps)
+        y = cfg.truth_function()(np.linspace(*cfg.x_domain, cfg.n))
+        for k in range(reps):
+            noise = standardize(sample_exact(cfg.noise_law, trial_rng(cfg.seed, k), cfg.n))
+            assert report.ordinates[k].tobytes() == (y + noise * (cfg.eta / 100.0)).tobytes()
+
     def test_batch_errors_match_single_trials(self):
         cfg = poly_config(seed=12)
         report = run_monte_carlo(cfg, repetitions=7)
@@ -242,29 +254,6 @@ class TestRunMonteCarlo:
             ties = sum(abs(lsm - slsm) <= TIE_RTOL * max(lsm, slsm) for lsm, slsm in pairs)
             assert getattr(report, f"win_rate_{metric}") == wins / len(pairs)
             assert getattr(report, f"ties_{metric}") == ties
-
-    def test_failures_excluded_and_counted(self, monkeypatch):
-        # A configuration draws its noise in one sampler call, and its trials
-        # share the sampler's envelope, so a draw over the round cap excludes
-        # every trial with the sampler's message.
-        monkeypatch.setattr(distribution, "REJECTION_PROPOSAL_CAP", 1)
-        real = experiment.sample_rejection
-        calls = itertools.count()
-
-        def counted(*args, **kwargs):
-            next(calls)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(experiment, "sample_rejection", counted)
-        report = run_monte_carlo(poly_config(seed=9), repetitions=12)
-        assert next(calls) == 1
-        assert report.errors.shape == (0, 4) and report.ordinates.shape == (0, 200)
-        assert [i for i, _ in report.failures] == list(range(12))
-        messages = {msg for _, msg in report.failures}
-        assert len(messages) == 1
-        assert messages.pop().startswith("SamplerFailureError: no acceptance after 1 proposal")
-        assert (report.win_rate_error1, report.win_rate_error2) == (None, None)
-        assert report.medians == report.iqrs == {}
 
     def test_fit_failure_excludes_every_trial(self, monkeypatch):
         def singular(*args, **kwargs):
