@@ -27,7 +27,6 @@ from .experiment import (
     error1,
     error2,
     grid_config,
-    make_noisy_dataset,
     run_monte_carlo,
 )
 from .hausdorff import (
@@ -39,19 +38,16 @@ from .hausdorff import (
     reset_horizontal,
 )
 from .lsq import (
-    Dataset,
     FitBatch,
-    FitResult,
     ModelSpec,
     SingularFitError,
     canonicalize_sinusoid,
-    fit,
     fit_batch,
     fit_linear,
     fit_sinusoid,
     predict,
 )
-from .stretched import StageFailure, StretchedFit, stretched_fit, stretched_fit_batch
+from .stretched import StageFailure, stretched_fit_batch
 
 __all__ = [
     "DegenerateScaleError",
@@ -70,20 +66,15 @@ __all__ = [
     "hausdorff_integral",
     "metric_transform",
     "reset_horizontal",
-    "Dataset",
     "FitBatch",
-    "FitResult",
     "ModelSpec",
     "SingularFitError",
     "canonicalize_sinusoid",
-    "fit",
     "fit_batch",
     "fit_linear",
     "fit_sinusoid",
     "predict",
     "StageFailure",
-    "StretchedFit",
-    "stretched_fit",
     "stretched_fit_batch",
     "ExperimentReport",
     "TrialConfig",
@@ -91,7 +82,6 @@ __all__ = [
     "error1",
     "error2",
     "grid_config",
-    "make_noisy_dataset",
     "run_monte_carlo",
     "__version__",
 ]

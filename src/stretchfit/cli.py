@@ -28,8 +28,8 @@ from .experiment import (
     grid_config,
     run_monte_carlo,
 )
-from .lsq import Dataset, FitResult, ModelSpec, SingularFitError, fit, predict
-from .stretched import StageFailure, stretched_fit
+from .lsq import FitBatch, ModelSpec, SingularFitError, fit_batch, predict
+from .stretched import StageFailure, stretched_fit_batch
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -64,15 +64,16 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _fit_dict(result: FitResult) -> dict:
-    model = result.model.family if result.model.degree is None else f"poly{result.model.degree}"
+def _fit_dict(batch: FitBatch) -> dict:
+    """The first fit of ``batch`` as a report entry."""
+    model = batch.model.family if batch.model.degree is None else f"poly{batch.model.degree}"
     return {
         "model": model,
-        "params": [float(v) for v in result.params],
-        "sse": float(result.sse),
-        "iterations": int(result.iterations),
-        "converged": bool(result.converged),
-        "stop_reason": result.stop_reason,
+        "params": batch.params[0].tolist(),
+        "sse": float(batch.sse[0]),
+        "iterations": int(batch.iterations[0]),
+        "converged": bool(batch.converged[0]),
+        "stop_reason": batch.stop_reasons[0],
     }
 
 
@@ -156,7 +157,7 @@ def _first_bad_line(lines: list[str], start: int) -> tuple[int, str]:
     return lo + 1, _problem(lines[lo:hi])
 
 
-def _read_xy_csv(path: Path) -> Dataset:
+def _read_xy_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """Columns 0 and 1 of a comma-separated file; see README *Fit input*."""
     try:
         with open(path, encoding="utf-8") as f, warnings.catch_warnings():
@@ -180,14 +181,14 @@ def _read_xy_csv(path: Path) -> Dataset:
         raise ValueError(f"{path}: no data rows")
     # Contiguous copies: strided column views would change the fits' summation order.
     x, y = xy.T.copy()
-    return Dataset(x, y)
+    return x, y
 
 
 def cmd_fit(args) -> int:
     model = _parse_model(args.model)
     if args.method == "stretched" and args.beta is None:
         raise ValueError("--beta is required with --method stretched")
-    data = _read_xy_csv(Path(args.input))
+    x, y = _read_xy_csv(Path(args.input))
 
     out = Path(args.out or "fit.json")
     manifest = RunManifest(
@@ -202,29 +203,26 @@ def cmd_fit(args) -> int:
         outputs=(str(out),),
     )
 
-    code = EXIT_OK
     if args.method == "lsm":
-        result = fit(model, data)
+        result = fit_batch(model, x, y[None])
         report = {"manifest": asdict(manifest), "method": "lsm", **_fit_dict(result)}
-        if not result.converged:
-            code = EXIT_NONCONVERGED
+        converged = result.converged[0]
     else:
-        sf = stretched_fit(model, data, args.beta)
+        transition, final = stretched_fit_batch(model, x, y[None], args.beta)
         report = {
             "manifest": asdict(manifest),
             "method": "stretched",
-            **_fit_dict(sf.final),
+            **_fit_dict(final),
             "stages": {
-                "beta": sf.beta,
-                "transition": _fit_dict(sf.transition),
-                "final": _fit_dict(sf.final),
+                "beta": args.beta,
+                "transition": _fit_dict(transition),
+                "final": _fit_dict(final),
             },
         }
-        if not sf.converged:
-            code = EXIT_NONCONVERGED
+        converged = transition.converged[0] and final.converged[0]
 
     _write_text(out, json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    return code
+    return EXIT_OK if converged else EXIT_NONCONVERGED
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +348,7 @@ def cmd_tables(args) -> int:
         _write_csv(summary_path, summary_header, [summary_row])
 
         x = np.linspace(*cfg.x_domain, cfg.n)
-        columns = [x, report.ordinates[k], cfg.truth_function()(x),
+        columns = [x, report.ordinates[k], predict(cfg.truth_model, cfg.truth_params, x),
                    predict(cfg.truth_model, report.lsm.params[k], x),
                    predict(cfg.truth_model, report.final.params[k], x)]
         figure_path = outdir / f"figure_{stem}.csv"
@@ -490,7 +488,7 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ValueError(f"threads must be at least 1, got {args.threads}")
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"stretchfit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StageFailure as exc:

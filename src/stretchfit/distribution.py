@@ -128,8 +128,15 @@ def _sign_words(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _attach_sign_and_scale(law: StretchedGaussian, gamma_draws: np.ndarray,
                            words: np.ndarray) -> np.ndarray:
-    """Variates of the law from Gamma draws, signed by their rows' ``_sign_words``."""
-    x = (law.scale * gamma_draws) ** (1.0 / (2.0 * law.beta))
+    """Variates of the law from Gamma draws, signed by their rows' ``_sign_words``.
+
+    A beta so small that the variates overflow raises ValueError.
+    """
+    try:
+        with np.errstate(over="raise"):
+            x = (law.scale * gamma_draws) ** (1.0 / (2.0 * law.beta))
+    except FloatingPointError as exc:
+        raise ValueError(f"variates overflow ({exc}): beta = {law.beta!r} is too small") from exc
     bits = ((words[..., None] >> np.uint64([31, 63])) & 1).reshape(*words.shape[:-1], -1)
     return np.negative(x, out=x, where=bits[..., :x.shape[-1]] == 0)
 

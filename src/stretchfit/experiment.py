@@ -1,6 +1,5 @@
-"""Synthetic benchmark protocol: noisy data generation, error metrics,
-single trials, and the seeded Monte Carlo comparison of plain versus
-stretched least squares.
+"""Synthetic benchmark protocol: noisy data generation, error metrics, and
+the seeded Monte Carlo comparison of plain versus stretched least squares.
 
 Each trial owns a private random stream derived from (base seed, trial
 index), so a report is bit-identical on every rerun, and extending the
@@ -14,19 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .distribution import StretchedGaussian, sample_exact, standardize
-from .lsq import (
-    Dataset,
-    FitBatch,
-    ModelSpec,
-    SingularFitError,
-    fit_batch,
-    predict,
-)
+from .lsq import FitBatch, ModelSpec, SingularFitError, fit_batch, predict
 from .stretched import StageFailure, stretched_fit_batch
 
 # Fit errors that mark the batch's trials failed (excluded from win rates)
@@ -75,9 +66,6 @@ class TrialConfig:
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must fit an unsigned 64-bit integer")
 
-    def truth_function(self) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda x: predict(self.truth_model, self.truth_params, x)
-
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -123,16 +111,6 @@ def trial_rng(base_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng([int(base_seed), int(trial_index)])
 
 
-def make_noisy_dataset(cfg: TrialConfig, rng: np.random.Generator) -> Dataset:
-    """Equally spaced abscissas plus standardized stretched Gaussian noise * eta/100.
-
-    The abscissas include both domain endpoints.  With eta = 0 the
-    ordinates are exact and no noise is drawn.
-    """
-    x = np.linspace(*cfg.x_domain, cfg.n)
-    return Dataset(x, _add_noise(cfg, predict(cfg.truth_model, cfg.truth_params, x), [rng])[0])
-
-
 def _add_noise(cfg: TrialConfig, y: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
     """One row per generator: ``y`` plus the configuration's noise drawn from it.
 
@@ -145,26 +123,28 @@ def _add_noise(cfg: TrialConfig, y: np.ndarray, rngs: list[np.random.Generator])
     return np.tile(y, (len(rngs), 1))
 
 
-def error1(fitted: Callable, truth: Callable, x):
-    """Maximum absolute pointwise gap between the two curves on the grid.
+def error1(fitted, truth):
+    """Maximum absolute pointwise gap between fitted and true values on a grid.
 
-    A ``fitted`` that returns one row of values per fit gives one error per row.
+    ``fitted`` holds one row of values per fit, or one fit's values; each
+    row gives one error.
     """
-    xv = np.asarray(x, dtype=float)
-    if xv.size == 0:
+    truth = np.asarray(truth, dtype=float)
+    if truth.size == 0:
         raise ValueError("error metrics need at least one evaluation point")
-    return np.max(np.abs(np.asarray(fitted(xv)) - np.asarray(truth(xv))), axis=-1)
+    return np.max(np.abs(np.asarray(fitted) - truth), axis=-1)
 
 
-def error2(fitted: Callable, truth: Callable, x):
-    """Root mean square pointwise gap between the two curves on the grid.
+def error2(fitted, truth):
+    """Root mean square pointwise gap between fitted and true values on a grid.
 
-    A ``fitted`` that returns one row of values per fit gives one error per row.
+    ``fitted`` holds one row of values per fit, or one fit's values; each
+    row gives one error.
     """
-    xv = np.asarray(x, dtype=float)
-    if xv.size == 0:
+    truth = np.asarray(truth, dtype=float)
+    if truth.size == 0:
         raise ValueError("error metrics need at least one evaluation point")
-    diff = np.asarray(fitted(xv)) - np.asarray(truth(xv))
+    diff = np.asarray(fitted) - truth
     return np.sqrt(np.mean(diff**2, axis=-1))
 
 
@@ -183,18 +163,18 @@ def run_monte_carlo(cfg: TrialConfig, repetitions: int) -> ExperimentReport:
         raise ValueError("repetitions must be at least 1")
 
     x = np.linspace(*cfg.x_domain, cfg.n)
-    truth = cfg.truth_function()
+    truth = predict(cfg.truth_model, cfg.truth_params, x)
     failures: list[tuple[int, str]] = []
     try:
-        ys = _add_noise(cfg, truth(x), [trial_rng(cfg.seed, i) for i in range(repetitions)])
+        ys = _add_noise(cfg, truth, [trial_rng(cfg.seed, i) for i in range(repetitions)])
         lsm = fit_batch(cfg.truth_model, x, ys)
         transition, final = stretched_fit_batch(cfg.truth_model, x, ys, cfg.beta)
         # At an extreme eta the squared gaps overflow; the non-finite errors
         # are reported below.
         with np.errstate(over="ignore", invalid="ignore"):
-            errors = np.column_stack([error1(lsm.predict, truth, x), error2(lsm.predict, truth, x),
-                                      error1(final.predict, truth, x),
-                                      error2(final.predict, truth, x)])
+            lsm_values, slsm_values = lsm.predict(x), final.predict(x)
+            errors = np.column_stack([error1(lsm_values, truth), error2(lsm_values, truth),
+                                      error1(slsm_values, truth), error2(slsm_values, truth)])
     except TRIAL_FAILURE_TYPES as exc:
         failures = [(i, f"{type(exc).__name__}: {exc}") for i in range(repetitions)]
         ys = np.empty((0, cfg.n))

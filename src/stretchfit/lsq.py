@@ -32,7 +32,6 @@ SINUSOID = "sinusoid"
 CLOSED_FORM = "closed_form"
 TOLERANCE = "tolerance"
 BOUNDARY = "boundary"
-STOP_REASONS = (CLOSED_FORM, TOLERANCE, BOUNDARY)
 
 # Frequency grid of the profile scan: k * base / _GRID_DENSITY for
 # k = 1.._GRID_POINTS, base = 2*pi / abscissa span, so up to 8 periods over
@@ -51,27 +50,6 @@ _SCAN_CACHE_SIZE = 4
 
 class SingularFitError(RuntimeError):
     """The linear design matrix is rank deficient."""
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Paired observation vectors (x_i, y_i)."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
-            raise ValueError("x and y must be one-dimensional and equally long")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("observations must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __len__(self) -> int:
-        return self.x.size
 
 
 @dataclass(frozen=True)
@@ -106,44 +84,13 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class FitResult:
-    """A fitted coefficient vector plus solver diagnostics.
-
-    ``stop_reason`` is one of STOP_REASONS and says why the solver stopped.
-    """
-
-    model: ModelSpec
-    params: np.ndarray
-    sse: float
-    iterations: int
-    stop_reason: str
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.params, dtype=float)
-        if p.size != self.model.n_params:
-            raise ValueError(
-                f"{self.model.family} expects {self.model.n_params} parameters, got {p.size}"
-            )
-        if self.stop_reason not in STOP_REASONS:
-            raise ValueError(f"unknown stop reason {self.stop_reason!r}")
-        object.__setattr__(self, "params", p)
-
-    @property
-    def converged(self) -> bool:
-        """True unless the optimum lies on an edge of the frequency domain."""
-        return self.stop_reason != BOUNDARY
-
-    def predict(self, x) -> np.ndarray:
-        return predict(self.model, self.params, x)
-
-
-@dataclass(frozen=True)
 class FitBatch:
     """Fits of one model to each ordinate row of a batch on shared abscissas.
 
     Row i of ``params`` and entry i of ``sse``, ``iterations`` and
-    ``stop_reasons`` describe the fit to row i; ``batch[i]`` is that fit as
-    a FitResult.
+    ``stop_reasons`` describe the fit to row i; a single fit is a batch of
+    one.  Each stop reason, CLOSED_FORM, TOLERANCE or BOUNDARY, says why
+    that solve stopped.
     """
 
     model: ModelSpec
@@ -152,13 +99,9 @@ class FitBatch:
     iterations: tuple[int, ...]
     stop_reasons: tuple[str, ...]
 
-    def __getitem__(self, i: int) -> FitResult:
-        return FitResult(self.model, self.params[i], float(self.sse[i]),
-                         self.iterations[i], self.stop_reasons[i])
-
     @property
     def converged(self) -> np.ndarray:
-        """FitResult.converged of every fit, as a boolean array."""
+        """For every fit, True unless its optimum lies on an edge of the frequency domain."""
         return np.array([reason != BOUNDARY for reason in self.stop_reasons], dtype=bool)
 
     def predict(self, x) -> np.ndarray:
@@ -452,8 +395,3 @@ def fit_batch(model: ModelSpec, x, ys) -> FitBatch:
     if model.family == POLYNOMIAL:
         return fit_linear(model.degree, x, ys)
     return fit_sinusoid(x, ys)
-
-
-def fit(model: ModelSpec, data: Dataset) -> FitResult:
-    """Fit the model to one data set: a batch of one."""
-    return fit_batch(model, data.x, data.y[None])[0]

@@ -10,12 +10,10 @@ of ordinate rows on shared abscissas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hausdorff import reset_horizontal
-from .lsq import Dataset, FitBatch, FitResult, ModelSpec, SingularFitError, fit_batch, predict
+from .lsq import FitBatch, ModelSpec, SingularFitError, fit_batch, predict
 
 
 class StageFailure(RuntimeError):
@@ -24,29 +22,6 @@ class StageFailure(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"{stage} stage failed: {cause}")
         self.stage = stage
-
-
-@dataclass(frozen=True)
-class StretchedFit:
-    """Both stages of a stretched fit; ``final`` is the usable regression."""
-
-    beta: float
-    transition: FitResult
-    final: FitResult
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.beta <= 1.0):
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.transition.model != self.final.model:
-            raise ValueError("both stages must use the same model family")
-
-    @property
-    def converged(self) -> bool:
-        """True when both stages converged."""
-        return self.transition.converged and self.final.converged
-
-    def predict(self, x) -> np.ndarray:
-        return self.final.predict(x)
 
 
 def stretched_fit_batch(model: ModelSpec, x, ys, beta: float) -> tuple[FitBatch, FitBatch]:
@@ -74,8 +49,3 @@ def stretched_fit_batch(model: ModelSpec, x, ys, beta: float) -> tuple[FitBatch,
 
     return transition, final
 
-
-def stretched_fit(model: ModelSpec, data: Dataset, beta: float) -> StretchedFit:
-    """Run the two-stage procedure for one model family and one beta: a batch of one."""
-    transition, final = stretched_fit_batch(model, data.x, data.y[None], beta)
-    return StretchedFit(beta=beta, transition=transition[0], final=final[0])

@@ -13,7 +13,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from stretchfit import (
-    Dataset,
     FractalAxis,
     ModelSpec,
     StretchedGaussian,
@@ -21,7 +20,7 @@ from stretchfit import (
     benchmark_grid,
     error1,
     error2,
-    fit,
+    fit_batch,
     fractal_distance,
     hausdorff_derivative,
     hausdorff_integral,
@@ -31,7 +30,7 @@ from stretchfit import (
     run_monte_carlo,
     sample_exact,
     sample_rejection,
-    stretched_fit,
+    stretched_fit_batch,
 )
 from stretchfit.cli import main as cli_main
 from stretchfit.lsq import POLYNOMIAL
@@ -125,11 +124,12 @@ def test_criterion_2_normalization():
 
 def test_criterion_3_noiseless_recovery():
     x = np.linspace(0.0, 1.0, 200)
-    quad_fit = fit(ModelSpec.polynomial(2), Dataset(x, predict(ModelSpec.polynomial(2), [1, 1, 2], x)))
-    poly_gap = float(np.max(np.abs(quad_fit.params - np.array([1.0, 1.0, 2.0]))))
+    quad_y = predict(ModelSpec.polynomial(2), [1, 1, 2], x)
+    quad_fit = fit_batch(ModelSpec.polynomial(2), x, quad_y[None])
+    poly_gap = float(np.max(np.abs(quad_fit.params[0] - np.array([1.0, 1.0, 2.0]))))
 
-    sin_fit = fit(ModelSpec.sinusoid(), Dataset(x, np.sin(x)))
-    sin_gap = float(np.max(np.abs(sin_fit.params - np.array([1.0, 1.0, 0.0, 0.0]))))
+    sin_fit = fit_batch(ModelSpec.sinusoid(), x, np.sin(x)[None])
+    sin_gap = float(np.max(np.abs(sin_fit.params[0] - np.array([1.0, 1.0, 0.0, 0.0]))))
 
     ok = report(3, "noiseless recovery", poly_gap <= 1e-8 and sin_gap <= 1e-5,
                 f"poly gap {poly_gap:.2e} (tol 1e-8), sin gap {sin_gap:.2e} (tol 1e-5)")
@@ -144,9 +144,8 @@ def test_criterion_4_beta_one_equivalence():
         x = np.sort(rng.uniform(0.0, 2.0, n))
         coeffs = rng.uniform(-2.0, 2.0, 3)
         y = predict(ModelSpec.polynomial(2), coeffs, x) + rng.normal(0.0, 0.4, n)
-        data = Dataset(x, y)
-        plain = fit(ModelSpec.polynomial(2), data)
-        two_stage = stretched_fit(ModelSpec.polynomial(2), data, 1.0)
+        plain = fit_batch(ModelSpec.polynomial(2), x, y[None])
+        _, two_stage = stretched_fit_batch(ModelSpec.polynomial(2), x, y[None], 1.0)
         worst = max(worst, float(np.max(np.abs(two_stage.predict(x) - plain.predict(x)))))
     ok = report(4, "beta=1 equivalence", worst <= 1e-8,
                 f"worst prediction gap {worst:.2e} over 50 noisy datasets (tol 1e-8)")
@@ -278,16 +277,14 @@ def test_criterion_6_statistical_comparison():
 
 def test_criterion_7_error_metric_units():
     x = np.linspace(0.0, 1.0, 200)
-    f = lambda v: v**2 + v + 2.0
-    zero1 = error1(f, f, x)
-    zero2 = error2(f, f, x)
+    f = x**2 + x + 2.0
+    zero1 = error1(f, f)
+    zero2 = error2(f, f)
 
-    grid = np.array([0.0, 1.0, 2.0])
     gaps = np.array([0.1, -0.3, 0.2])
-    fitted = lambda xs: np.interp(xs, grid, gaps)
-    flat = lambda xs: np.zeros_like(np.asarray(xs))
-    hand1 = abs(error1(fitted, flat, grid) - 0.3)
-    hand2 = abs(error2(fitted, flat, grid) - 0.21602468994692867)
+    flat = np.zeros(3)
+    hand1 = abs(error1(gaps, flat) - 0.3)
+    hand2 = abs(error2(gaps, flat) - 0.21602468994692867)
 
     ok = report(7, "error metric units",
                 zero1 == 0.0 and zero2 == 0.0 and hand1 <= 1e-12 and hand2 <= 1e-12,

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import stretchfit.experiment as experiment
-from stretchfit import (Dataset, ModelSpec, SingularFitError, StretchedFit, benchmark_grid,
-                        grid_config, make_noisy_dataset, run_monte_carlo, stretched_fit)
+from stretchfit import (ModelSpec, SingularFitError, benchmark_grid, grid_config, predict,
+                        run_monte_carlo, stretched_fit_batch)
 from stretchfit.cli import _read_xy_csv, _representative_trial, main
 from stretchfit.experiment import trial_rng
 
@@ -82,6 +82,38 @@ class TestSample:
         assert code == 2
         assert "beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["sample", "--beta", "0.001", "-n", "5"],
+        ["sample", "--method", "exact", "--beta", "0.001", "-n", "5"],
+        ["experiment", "--model", "poly", "--beta", "0.001", "--eta", "30"],
+    ], ids=["rejection", "exact", "experiment"])
+    def test_overflowing_variates_are_usage_error(self, tmp_path, capsys, command):
+        # At beta 0.001 the variates (c g)**(1 / (2 beta)) of Gamma draws g overflow.
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*command, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stretchfit: error: variates overflow (")
+        assert "beta = 0.001" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["sample", "-n", "1000000000000000000"],
+        ["experiment", "--model", "poly", "--beta", "0.4", "--eta", "30",
+         "-n", "1000000000000000000"],
+    ], ids=["sample", "experiment"])
+    def test_unallocatable_size_is_usage_error(self, tmp_path, capsys, command):
+        # numpy refuses an array of 10**18 doubles before allocating anything.
+        out = tmp_path / "out"
+        code = main([*command, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stretchfit: error: Unable to allocate")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_rerun_to_same_path_is_byte_identical(self, tmp_path):
         out = tmp_path / "a.txt"
         main(["sample", "--beta", "0.4", "-n", "200", "--seed", "11", "--out", str(out)])
@@ -121,6 +153,7 @@ class TestFit:
         lsm = json.loads(lsm_out.read_text())
         stretched = json.loads(s_out.read_text())
         assert "transition" in stretched["stages"]
+        assert stretched["stages"]["beta"] == 1.0
         x = np.linspace(0.0, 1.0, 200)
         p_lsm = np.polyval(lsm["params"], x)
         p_s = np.polyval(stretched["params"], x)
@@ -209,8 +242,7 @@ class TestFitInput:
         cells = [line.split(",") for line in path.read_text().splitlines()[1:]]
         xs = [float(a) for a, _ in cells]
         ys = [float(b) for _, b in cells]
-        data = _read_xy_csv(path)
-        for got, want in ((data.x, xs), (data.y, ys)):
+        for got, want in zip(_read_xy_csv(path), (xs, ys)):
             assert got.flags.c_contiguous
             assert got.dtype == np.float64
             assert got.tobytes() == np.array(want).tobytes()
@@ -218,8 +250,8 @@ class TestFitInput:
         out = tmp_path / "fit.json"
         assert main(["fit", "--input", str(path), "--model", "poly2", "--method", "stretched",
                      "--beta", "0.4", "--out", str(out)]) == 0
-        expected = stretched_fit(ModelSpec.polynomial(2), Dataset(np.array(xs), np.array(ys)), 0.4)
-        assert json.loads(out.read_text())["params"] == expected.final.params.tolist()
+        _, expected = stretched_fit_batch(ModelSpec.polynomial(2), np.array(xs), np.array([ys]), 0.4)
+        assert json.loads(out.read_text())["params"] == expected.params[0].tolist()
 
     def test_extreme_doubles_parse_bit_equal_to_float(self, tmp_path):
         values = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e+308,
@@ -228,9 +260,9 @@ class TestFitInput:
         path = tmp_path / "extreme.csv"
         path.write_text("".join(f"{c},{c}\n" for c in cells))
         want = np.array([float(c) for c in cells])
-        data = _read_xy_csv(path)
-        assert data.x.tobytes() == want.tobytes()
-        assert data.y.tobytes() == want.tobytes()
+        got_x, got_y = _read_xy_csv(path)
+        assert got_x.tobytes() == want.tobytes()
+        assert got_y.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("text, x, y", [
         ("x,y\n0,1\n1,3\n", [0.0, 1.0], [1.0, 3.0]),
@@ -245,9 +277,9 @@ class TestFitInput:
     def test_accepted_layouts(self, tmp_path, text, x, y):
         path = tmp_path / "in.csv"
         path.write_bytes(text.encode())
-        data = _read_xy_csv(path)
-        assert data.x.tolist() == x
-        assert data.y.tolist() == y
+        got_x, got_y = _read_xy_csv(path)
+        assert got_x.tolist() == x
+        assert got_y.tolist() == y
         assert main(["fit", "--input", str(path), "--model", "poly0",
                      "--out", str(tmp_path / "f.json")]) == 0
 
@@ -402,9 +434,9 @@ class TestExperiment:
                 "lsm_error2": e2,
                 "slsm_error1": s1,
                 "slsm_error2": s2,
-                "lsm_converged": report.lsm[i].converged,
-                "slsm_converged": StretchedFit(beta, report.transition[i],
-                                               report.final[i]).converged,
+                "lsm_converged": report.lsm.stop_reasons[i] != "boundary",
+                "slsm_converged": "boundary" not in (report.transition.stop_reasons[i],
+                                                     report.final.stop_reasons[i]),
             }
             for i, (e1, e2, s1, s2) in enumerate(report.errors.tolist())
         ]
@@ -496,9 +528,11 @@ class TestTables:
         cfg = dict(benchmark_grid(3))[token]
         figure = (outdir / f"figure_{token.replace(':', '_')}.csv").read_text().splitlines()
         y_noisy = np.array([float(line.split(",")[1]) for line in figure[1:]])
-        expected = make_noisy_dataset(cfg, trial_rng(cfg.seed, k)).y
+        truth = predict(cfg.truth_model, cfg.truth_params, np.linspace(*cfg.x_domain, cfg.n))
+        expected, following = (experiment._add_noise(cfg, truth, [trial_rng(cfg.seed, i)])[0]
+                               for i in (k, k + 1))
         assert y_noisy.tobytes() == expected.tobytes()
-        assert y_noisy.tobytes() != make_noisy_dataset(cfg, trial_rng(cfg.seed, k + 1)).y.tobytes()
+        assert y_noisy.tobytes() != following.tobytes()
 
     def test_all_trials_failed_is_numerical_failure(self, tmp_path, capsys, failing_fit):
         code = main(["tables", "--configs", "poly:b0.4:e30", "--reps", "3",

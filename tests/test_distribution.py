@@ -1,6 +1,7 @@
 """Distribution module: density, moments, samplers, standardization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,14 @@ class TestSamplers:
             draw(law, np.random.default_rng(0), 0)
         out = draw(law, np.random.default_rng(0), 1)
         assert out.shape == (1,) and np.isfinite(out).all()
+
+    @pytest.mark.parametrize("draw", [sample_exact, sample_rejection])
+    def test_overflowing_variates_rejected(self, draw):
+        # At beta 0.001 the variates (c g)**(1 / (2 beta)) of Gamma draws g overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"beta = 0\.001 is too small"):
+                draw(law_with_scale(0.001, 1.0), np.random.default_rng(0), 5)
 
     def test_exact_sampler_deterministic_per_seed(self):
         law = law_with_scale(0.4, 2.0)

@@ -9,15 +9,15 @@ import stretchfit.experiment as experiment
 import stretchfit.lsq as lsq
 from stretchfit import (
     SingularFitError,
-    fit,
+    fit_batch,
     grid_config,
     error1,
     error2,
-    make_noisy_dataset,
+    predict,
     run_monte_carlo,
     sample_exact,
     standardize,
-    stretched_fit,
+    stretched_fit_batch,
 )
 from stretchfit.experiment import ERROR_COLUMNS, TIE_RTOL, trial_rng
 
@@ -33,93 +33,106 @@ def fit_summaries(report):
             for batch in (report.lsm, report.transition, report.final)]
 
 
+def truth_values(cfg):
+    """The Monte Carlo's abscissas and the truth's values there."""
+    x = np.linspace(*cfg.x_domain, cfg.n)
+    return x, predict(cfg.truth_model, cfg.truth_params, x)
+
+
+def noisy_ordinates(cfg, rng):
+    """One trial's noisy ordinates, drawn alone from ``rng``."""
+    return experiment._add_noise(cfg, truth_values(cfg)[1], [rng])[0]
+
+
 def single_trial(cfg, i):
-    """Trial i alone, the per-trial way: its own data set, one fit per method.
+    """Trial i alone, the per-trial way: its own ordinates, a batch of one per method.
 
     Returns the four errors in ERROR_COLUMNS order, the plain fit and the
-    stretched fit.
+    stretched fit's (transition, final) stages.
     """
-    data = make_noisy_dataset(cfg, trial_rng(cfg.seed, i))
-    truth = cfg.truth_function()
-    lsm = fit(cfg.truth_model, data)
-    slsm = stretched_fit(cfg.truth_model, data, cfg.beta)
-    errors = (error1(lsm.predict, truth, data.x), error2(lsm.predict, truth, data.x),
-              error1(slsm.predict, truth, data.x), error2(slsm.predict, truth, data.x))
-    return tuple(float(e) for e in errors), lsm, slsm
+    x, truth = truth_values(cfg)
+    y = noisy_ordinates(cfg, trial_rng(cfg.seed, i))
+    lsm = fit_batch(cfg.truth_model, x, y[None])
+    transition, final = stretched_fit_batch(cfg.truth_model, x, y[None], cfg.beta)
+    lsm_values, slsm_values = lsm.predict(x)[0], final.predict(x)[0]
+    errors = (error1(lsm_values, truth), error2(lsm_values, truth),
+              error1(slsm_values, truth), error2(slsm_values, truth))
+    return tuple(float(e) for e in errors), lsm, (transition, final)
 
 
-class TestMakeNoisyDataset:
+class TestAddNoise:
     def test_zero_noise_is_exact(self):
         cfg = poly_config(eta=0.0)
-        data = make_noisy_dataset(cfg, trial_rng(0, 0))
-        np.testing.assert_array_equal(data.y, cfg.truth_function()(data.x))
+        y = noisy_ordinates(cfg, trial_rng(0, 0))
+        np.testing.assert_array_equal(y, truth_values(cfg)[1])
 
-    def test_grid_spans_domain_inclusive(self):
-        cfg = poly_config()
-        data = make_noisy_dataset(cfg, trial_rng(0, 0))
-        assert data.x[0] == 0.0 and data.x[-1] == 1.0
-        assert data.x.size == 200
-        np.testing.assert_allclose(np.diff(data.x), np.diff(data.x)[0], rtol=1e-9)
+    def test_grid_spans_domain_inclusive(self, monkeypatch):
+        # The abscissas the Monte Carlo fits on.
+        seen = []
+        monkeypatch.setattr(experiment, "fit_batch",
+                            lambda model, x, ys: seen.append(x) or fit_batch(model, x, ys))
+        run_monte_carlo(poly_config(), 1)
+        x = seen[0]
+        assert x[0] == 0.0 and x[-1] == 1.0
+        assert x.size == 200
+        np.testing.assert_allclose(np.diff(x), np.diff(x)[0], rtol=1e-9)
 
     def test_noise_is_standardized_to_eta_scale(self):
         for eta in (30.0, 50.0):
             cfg = poly_config(eta=eta)
-            data = make_noisy_dataset(cfg, trial_rng(1, 0))
-            noise = data.y - (data.x**2 + data.x + 2.0)
+            x, _ = truth_values(cfg)
+            noise = noisy_ordinates(cfg, trial_rng(1, 0)) - (x**2 + x + 2.0)
             assert abs(noise.mean()) < 1e-12
             assert abs(noise.std(ddof=1) - eta / 100.0) < 1e-12
 
     def test_same_seed_bit_identical(self):
         cfg = poly_config(seed=5)
-        a = make_noisy_dataset(cfg, trial_rng(5, 3))
-        b = make_noisy_dataset(cfg, trial_rng(5, 3))
-        assert a.y.tobytes() == b.y.tobytes()
+        a = noisy_ordinates(cfg, trial_rng(5, 3))
+        b = noisy_ordinates(cfg, trial_rng(5, 3))
+        assert a.tobytes() == b.tobytes()
 
     def test_different_seeds_differ(self):
         cfg = poly_config()
         for k in range(100):
-            a = make_noisy_dataset(cfg, trial_rng(k, 0))
-            b = make_noisy_dataset(cfg, trial_rng(k + 1, 0))
-            assert not np.array_equal(a.y, b.y)
+            a = noisy_ordinates(cfg, trial_rng(k, 0))
+            b = noisy_ordinates(cfg, trial_rng(k + 1, 0))
+            assert not np.array_equal(a, b)
 
 
 class TestErrorMetrics:
     def test_zero_for_identical_curves(self):
-        f = lambda x: x**2 + x + 2.0
         x = np.linspace(0.0, 1.0, 50)
-        assert error1(f, f, x) == 0.0
-        assert error2(f, f, x) == 0.0
+        f = x**2 + x + 2.0
+        assert error1(f, f) == 0.0
+        assert error2(f, f) == 0.0
 
     def test_hand_computed_vectors(self):
-        x = np.array([0.0, 1.0, 2.0])
         diffs = np.array([0.1, -0.3, 0.2])
-        fitted = lambda xs: np.interp(xs, x, diffs)
-        truth = lambda xs: np.zeros_like(xs)
-        assert error1(fitted, truth, x) == pytest.approx(0.3, abs=1e-12)
-        assert error2(fitted, truth, x) == pytest.approx(0.21602468994692867, abs=1e-12)
+        truth = np.zeros(3)
+        assert error1(diffs, truth) == pytest.approx(0.3, abs=1e-12)
+        assert error2(diffs, truth) == pytest.approx(0.21602468994692867, abs=1e-12)
 
     def test_single_point_absolute_value(self):
-        assert error1(lambda x: x - 7.0, lambda x: x, [3.0]) == 7.0
+        assert error1([3.0 - 7.0], [3.0]) == 7.0
 
     def test_constant_gap_rms_is_gap(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(0.0, 5.0, 40)
-        assert error2(lambda v: v + 0.25, lambda v: v, x) == pytest.approx(0.25, rel=1e-12)
+        assert error2(x + 0.25, x) == pytest.approx(0.25, rel=1e-12)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            error1(lambda x: x, lambda x: x, [])
+            error1([], [])
         with pytest.raises(ValueError):
-            error2(lambda x: x, lambda x: x, [])
+            error2([], [])
 
     def test_rms_never_exceeds_max(self):
         rng = np.random.default_rng(3)
         x = np.linspace(0.0, 1.0, 30)
         for _ in range(25):
             gaps = rng.normal(0.0, 1.0, x.size)
-            fitted = lambda xs, g=gaps: np.interp(xs, x, g)
-            truth = lambda xs: np.zeros_like(np.asarray(xs))
-            assert error2(fitted, truth, x) <= error1(fitted, truth, x) + 1e-15
+            truth = np.zeros_like(x)
+            assert error2(gaps, truth) <= error1(gaps, truth) + 1e-15
 
 
 class TestRunTrial:
@@ -147,16 +160,15 @@ class TestRunTrial:
         assert report.config.seed == 9
         assert report.ordinates.shape == (5, cfg.n)
         for k in range(5):
-            data = make_noisy_dataset(cfg, trial_rng(9, k))
-            assert report.ordinates[k].tobytes() == data.y.tobytes()
+            y = noisy_ordinates(cfg, trial_rng(9, k))
+            assert report.ordinates[k].tobytes() == y.tobytes()
 
     def test_errors_match_refit_from_stored_fits(self):
         cfg = poly_config(seed=2)
         report = run_monte_carlo(cfg, 2)
-        data = make_noisy_dataset(cfg, trial_rng(2, 1))
-        truth = cfg.truth_function()
-        assert report.column("lsm_error1")[1] == error1(report.lsm[1].predict, truth, data.x)
-        assert report.column("slsm_error2")[1] == error2(report.final[1].predict, truth, data.x)
+        x, truth = truth_values(cfg)
+        assert report.column("lsm_error1")[1] == error1(report.lsm.predict(x)[1], truth)
+        assert report.column("slsm_error2")[1] == error2(report.final.predict(x)[1], truth)
 
     def test_strong_config_beats_plain_fit_in_median(self):
         # Polynomial, beta 0.4, eta 30: the stretched method's median RMS
@@ -214,7 +226,7 @@ class TestRunMonteCarlo:
         # standardized, whatever the number of trials.
         cfg = poly_config(seed=4, beta=beta)
         report = run_monte_carlo(cfg, reps)
-        y = cfg.truth_function()(np.linspace(*cfg.x_domain, cfg.n))
+        _, y = truth_values(cfg)
         for k in range(reps):
             noise = standardize(sample_exact(cfg.noise_law, trial_rng(cfg.seed, k), cfg.n))
             assert report.ordinates[k].tobytes() == (y + noise * (cfg.eta / 100.0)).tobytes()
@@ -223,11 +235,11 @@ class TestRunMonteCarlo:
         cfg = poly_config(seed=12)
         report = run_monte_carlo(cfg, repetitions=7)
         for k in range(7):
-            errors, lsm, slsm = single_trial(cfg, k)
+            errors, lsm, (transition, final) = single_trial(cfg, k)
             assert errors == tuple(report.errors[k].tolist())
-            assert lsm.params.tobytes() == report.lsm.params[k].tobytes()
-            assert slsm.transition.params.tobytes() == report.transition.params[k].tobytes()
-            assert slsm.final.params.tobytes() == report.final.params[k].tobytes()
+            assert lsm.params[0].tobytes() == report.lsm.params[k].tobytes()
+            assert transition.params[0].tobytes() == report.transition.params[k].tobytes()
+            assert final.params[0].tobytes() == report.final.params[k].tobytes()
 
     def test_scan_cache_does_not_change_sinusoid_report(self):
         cfg = grid_config("sin", 0.8, 50.0, seed=11)

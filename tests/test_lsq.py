@@ -9,11 +9,10 @@ import scipy.optimize
 
 import stretchfit.lsq as lsq
 from stretchfit import (
-    Dataset,
     ModelSpec,
     SingularFitError,
     canonicalize_sinusoid,
-    fit,
+    fit_batch,
     predict,
 )
 
@@ -119,25 +118,25 @@ class TestPredict:
 class TestFitLinear:
     def test_exact_quadratic_recovery(self):
         x = np.linspace(0.0, 1.0, 200)
-        result = fit(ModelSpec.polynomial(2), Dataset(x, x**2 + x + 2.0))
-        np.testing.assert_allclose(result.params, [1.0, 1.0, 2.0], atol=1e-8)
-        assert result.converged
+        result = fit_batch(ModelSpec.polynomial(2), x, (x**2 + x + 2.0)[None])
+        np.testing.assert_allclose(result.params[0], [1.0, 1.0, 2.0], atol=1e-8)
+        assert result.converged[0]
 
     def test_degree_zero_is_mean(self):
-        result = fit(ModelSpec.polynomial(0), Dataset([0.0, 1.0, 2.0, 7.0], [5.0, 5.0, 5.0, 5.0]))
-        np.testing.assert_allclose(result.params, [5.0], atol=1e-14)
+        result = fit_batch(ModelSpec.polynomial(0), [0.0, 1.0, 2.0, 7.0], [[5.0, 5.0, 5.0, 5.0]])
+        np.testing.assert_allclose(result.params[0], [5.0], atol=1e-14)
 
     def test_two_point_line(self):
-        result = fit(ModelSpec.polynomial(1), Dataset([0.0, 1.0], [1.0, 3.0]))
-        np.testing.assert_allclose(result.params, [2.0, 1.0], atol=1e-12)
+        result = fit_batch(ModelSpec.polynomial(1), [0.0, 1.0], [[1.0, 3.0]])
+        np.testing.assert_allclose(result.params[0], [2.0, 1.0], atol=1e-12)
 
     def test_residual_orthogonal_to_design(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(0.0, 2.0, 120)
         y = 0.5 * x**2 - x + 0.3 + rng.normal(0.0, 0.4, x.size)
-        result = fit(ModelSpec.polynomial(2), Dataset(x, y))
+        result = fit_batch(ModelSpec.polynomial(2), x, y[None])
         design = np.vander(x, 3)
-        residual = design @ result.params - y
+        residual = design @ result.params[0] - y
         scale = np.linalg.norm(residual) * np.linalg.norm(design, axis=0)
         assert np.all(np.abs(design.T @ residual) <= 1e-8 * np.maximum(scale, 1.0))
 
@@ -145,16 +144,16 @@ class TestFitLinear:
         rng = np.random.default_rng(9)
         x = rng.uniform(0.0, 1.0, 80)
         y = x**2 + x + 2.0 + rng.normal(0.0, 0.2, x.size)
-        result = fit(ModelSpec.polynomial(2), Dataset(x, y))
+        result = fit_batch(ModelSpec.polynomial(2), x, y[None])
 
         def sse(p):
             r = predict(result.model, p, x) - y
             return r @ r
 
-        base = sse(result.params)
+        base = sse(result.params[0])
         for j in range(3):
             for delta in (1e-4, -1e-4):
-                bumped = result.params.copy()
+                bumped = result.params[0].copy()
                 bumped[j] += delta
                 assert sse(bumped) > base
 
@@ -164,46 +163,46 @@ class TestFitLinear:
         truth = np.array([0.7, -1.2, 0.4])
         y = predict(ModelSpec.polynomial(2), truth, x)
         perm = rng.permutation(x.size)
-        result = fit(ModelSpec.polynomial(2), Dataset(x[perm], y[perm]))
-        np.testing.assert_allclose(result.predict(x), y, atol=1e-8)
+        result = fit_batch(ModelSpec.polynomial(2), x[perm], y[perm][None])
+        np.testing.assert_allclose(result.predict(x)[0], y, atol=1e-8)
 
     def test_rank_deficient_design_rejected(self):
         with pytest.raises(SingularFitError):
-            fit(ModelSpec.polynomial(1), Dataset([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
+            fit_batch(ModelSpec.polynomial(1), [2.0, 2.0, 2.0], [[1.0, 2.0, 3.0]])
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            fit(ModelSpec.polynomial(2), Dataset([0.0, 1.0], [1.0, 2.0]))
+            fit_batch(ModelSpec.polynomial(2), [0.0, 1.0], [[1.0, 2.0]])
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
         x = rng.uniform(0.0, 1.0, 90)
         y = rng.normal(0.0, 1.0, 90)
-        a = fit(ModelSpec.polynomial(3), Dataset(x, y))
-        b = fit(ModelSpec.polynomial(3), Dataset(x, y))
+        a = fit_batch(ModelSpec.polynomial(3), x, y[None])
+        b = fit_batch(ModelSpec.polynomial(3), x, y[None])
         assert a.params.tobytes() == b.params.tobytes()
-        assert a.sse == b.sse
+        assert a.sse[0] == b.sse[0]
 
 
 class TestFitNonlinear:
     def test_noiseless_sine_recovery(self):
         x = np.linspace(0.0, 1.0, 200)
-        result = fit(ModelSpec.sinusoid(), Dataset(x, np.sin(x)))
-        np.testing.assert_allclose(result.params, [1.0, 1.0, 0.0, 0.0], atol=1e-6)
-        assert result.converged
+        result = fit_batch(ModelSpec.sinusoid(), x, np.sin(x)[None])
+        np.testing.assert_allclose(result.params[0], [1.0, 1.0, 0.0, 0.0], atol=1e-6)
+        assert result.converged[0]
 
     def test_generate_and_recover(self):
         truth = np.array([2.0, 0.5, 0.3, -1.0])
         x = np.linspace(0.0, 1.0, 200)
-        result = fit(ModelSpec.sinusoid(), Dataset(x, sin_curve(truth, x)))
-        np.testing.assert_allclose(result.params, truth, atol=1e-6)
+        result = fit_batch(ModelSpec.sinusoid(), x, sin_curve(truth, x)[None])
+        np.testing.assert_allclose(result.params[0], truth, atol=1e-6)
 
     def test_canonical_form(self):
         rng = np.random.default_rng(17)
         x = np.linspace(0.0, 3.0, 150)
         y = sin_curve((-1.3, 2.0, 2.8, 0.1), x) + rng.normal(0.0, 0.05, x.size)
-        result = fit(ModelSpec.sinusoid(), Dataset(x, y))
-        a, _, c, _ = result.params
+        result = fit_batch(ModelSpec.sinusoid(), x, y[None])
+        a, _, c, _ = result.params[0]
         assert a > 0.0
         assert -math.pi < c <= math.pi
 
@@ -223,18 +222,20 @@ class TestFitNonlinear:
         rng = np.random.default_rng(23)
         x = np.linspace(0.0, 1.0, 200)
         y = np.sin(x) + rng.normal(0.0, 0.3, x.size)
-        result = fit(ModelSpec.sinusoid(), Dataset(x, y))
-        r = sin_curve(result.params, x) - y
-        assert np.max(np.abs(sin_jacobian(result.params, x).T @ r)) <= 1e-6 * (1.0 + result.sse)
+        result = fit_batch(ModelSpec.sinusoid(), x, y[None])
+        params, sse = result.params[0], result.sse[0]
+        r = sin_curve(params, x) - y
+        assert np.max(np.abs(sin_jacobian(params, x).T @ r)) <= 1e-6 * (1.0 + sse)
 
     def test_deterministic_including_multistart(self):
         rng = np.random.default_rng(31)
         x = np.linspace(0.0, 1.0, 150)
         y = np.sin(x) + rng.normal(0.0, 0.5, x.size)
-        a = fit(ModelSpec.sinusoid(), Dataset(x, y))
-        b = fit(ModelSpec.sinusoid(), Dataset(x, y))
+        a = fit_batch(ModelSpec.sinusoid(), x, y[None])
+        b = fit_batch(ModelSpec.sinusoid(), x, y[None])
         assert a.params.tobytes() == b.params.tobytes()
-        assert (a.sse, a.iterations, a.converged) == (b.sse, b.iterations, b.converged)
+        assert (a.sse[0], a.iterations[0], a.converged[0]) == (
+            b.sse[0], b.iterations[0], b.converged[0])
 
     def test_frequency_grid_is_deterministic(self):
         # 160 frequencies k * base / 20, base = 2*pi / span: up to 8 periods
@@ -255,7 +256,7 @@ class TestFitNonlinear:
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            fit(ModelSpec.sinusoid(), Dataset([0.0, 1.0, 2.0], [0.1, 0.2, 0.3]))
+            fit_batch(ModelSpec.sinusoid(), [0.0, 1.0, 2.0], [[0.1, 0.2, 0.3]])
 
     def test_boundary_optimum_is_flagged(self):
         # On [0, 1] the noisy sin(x) profile often falls toward b -> 0, where
@@ -263,15 +264,16 @@ class TestFitNonlinear:
         # grid frequency, exactly solved there, and says so.
         x = np.linspace(0.0, 1.0, 200)
         y = np.sin(x) + np.random.default_rng(0).normal(0.0, 0.3, x.size)
-        result = fit(ModelSpec.sinusoid(), Dataset(x, y))
-        assert result.stop_reason == "boundary"
-        assert result.converged is False
-        assert result.params[1] == 2.0 * math.pi / 20
-        r = sin_curve(result.params, x) - y
-        assert result.sse == pytest.approx(r @ r, rel=1e-12)
+        result = fit_batch(ModelSpec.sinusoid(), x, y[None])
+        params, sse = result.params[0], result.sse[0]
+        assert result.stop_reasons[0] == "boundary"
+        assert not result.converged[0]
+        assert params[1] == 2.0 * math.pi / 20
+        r = sin_curve(params, x) - y
+        assert sse == pytest.approx(r @ r, rel=1e-12)
         quad = np.polyval(np.polyfit(x, y, 2), x) - y
         tss = float(np.sum((y - y.mean()) ** 2))
-        assert quad @ quad <= result.sse <= quad @ quad + 1e-3 * tss
+        assert quad @ quad <= sse <= quad @ quad + 1e-3 * tss
 
     def test_upper_boundary_optimum_is_flagged(self):
         # 12.5 periods on [0, 1] lie above the search domain's 8: the profile
@@ -280,14 +282,15 @@ class TestFitNonlinear:
         # 8 and fall onto a side lobe instead.)
         x = np.linspace(0.0, 1.0, 200)
         y = np.sin(2.0 * math.pi * 12.5 * x)
-        result = fit(ModelSpec.sinusoid(), Dataset(x, y))
-        assert result.stop_reason == "boundary"
-        assert result.converged is False
-        assert result.params[1] == 8 * 2.0 * math.pi
-        r = sin_curve(result.params, x) - y
-        assert result.sse == pytest.approx(r @ r, rel=1e-12)
+        result = fit_batch(ModelSpec.sinusoid(), x, y[None])
+        params, sse = result.params[0], result.sse[0]
+        assert result.stop_reasons[0] == "boundary"
+        assert not result.converged[0]
+        assert params[1] == 8 * 2.0 * math.pi
+        r = sin_curve(params, x) - y
+        assert sse == pytest.approx(r @ r, rel=1e-12)
         inside = lsq._linear_at(lsq._frequency_grid(x)[-2], x, y)[1]
-        assert result.sse < inside
+        assert sse < inside
 
     def test_global_optimum_against_dense_profile(self):
         # Every fit not stopped at the boundary is at least as good as an
@@ -303,12 +306,12 @@ class TestFitNonlinear:
             truth = (rng.uniform(0.2, 3.0), base * rng.uniform(0.1, 7.5),
                      rng.uniform(-math.pi, math.pi), rng.uniform(-2.0, 2.0))
             y = sin_curve(truth, x) + rng.normal(0.0, rng.uniform(0.0, 1.5), n)
-            result = fit(ModelSpec.sinusoid(), Dataset(x, y))
-            if result.stop_reason == "boundary":
+            result = fit_batch(ModelSpec.sinusoid(), x, y[None])
+            if result.stop_reasons[0] == "boundary":
                 continue
-            evaluations.append(result.iterations)
-            assert result.converged
-            assert result.sse <= (1.0 + 1e-9) * dense_profile_reference(x, y)
+            evaluations.append(result.iterations[0])
+            assert result.converged[0]
+            assert result.sse[0] <= (1.0 + 1e-9) * dense_profile_reference(x, y)
         assert len(evaluations) >= 50
         # Newton from the grid point needs a few derivative evaluations; a
         # refinement that falls back to bisection needs about 20.
@@ -326,8 +329,8 @@ class TestFitNonlinear:
             x = h * np.arange(n) + rng.uniform(-5.0, 5.0)
             y = rng.normal(0.0, 1.0, n)
             tss = float(np.sum((y - y.mean()) ** 2))
-            result = fit(ModelSpec.sinusoid(), Dataset(x, y))
-            assert result.sse <= dense_profile(x, y)[1].min() + 0.05 * tss, (n, h)
+            result = fit_batch(ModelSpec.sinusoid(), x, y[None])
+            assert result.sse[0] <= dense_profile(x, y)[1].min() + 0.05 * tss, (n, h)
 
 
 class TestProfileKernels:
@@ -391,7 +394,7 @@ class TestProfileKernels:
         x = np.linspace(0.0, 1.0, 2000)
         y = np.sin(3.0 * x) + np.random.default_rng(53).normal(0.0, 0.3, x.size)
         lsq._scan_table.cache_clear()
-        fit(ModelSpec.sinusoid(), Dataset(x, y))
+        fit_batch(ModelSpec.sinusoid(), x, y[None])
         assert lsq._scan_table.cache_info().currsize == 0
 
 
@@ -412,11 +415,11 @@ class TestFitBatch:
             ys = self.rows(x, 5, 67)
             batch = lsq.fit_batch(model, x, ys)
             for i, y in enumerate(ys):
-                single, row = fit(model, Dataset(x, y)), batch[i]
-                assert single.params.tobytes() == row.params.tobytes()
-                assert (single.sse, single.iterations, single.stop_reason) == (
-                    row.sse, row.iterations, row.stop_reason)
-                assert single.predict(x).tobytes() == batch.predict(x)[i].tobytes()
+                single = lsq.fit_batch(model, x, y[None])
+                assert single.params[0].tobytes() == batch.params[i].tobytes()
+                assert (single.sse[0], single.iterations[0], single.stop_reasons[0]) == (
+                    batch.sse[i], batch.iterations[i], batch.stop_reasons[i])
+                assert single.predict(x)[0].tobytes() == batch.predict(x)[i].tobytes()
             if model == ModelSpec.sinusoid():
                 assert {"boundary", "tolerance"} <= set(batch.stop_reasons)
 
@@ -468,22 +471,15 @@ class TestFitBatch:
         for ys in (np.zeros(10), np.zeros((2, 9)), np.full((2, 10), np.nan)):
             with pytest.raises(ValueError):
                 lsq.fit_batch(ModelSpec.polynomial(1), x, ys)
+        with pytest.raises(ValueError):
+            lsq.fit_batch(ModelSpec.polynomial(1), [0.0, float("inf")], [[1.0, 2.0]])
 
 
 class TestFitDispatch:
     def test_routes_by_family(self):
         x = np.linspace(0.0, 1.0, 100)
-        poly = lsq.fit(ModelSpec.polynomial(1), Dataset(x, 3.0 * x + 1.0))
-        np.testing.assert_allclose(poly.params, [3.0, 1.0], atol=1e-10)
-        sine = lsq.fit(ModelSpec.sinusoid(), Dataset(x, np.sin(x)))
-        np.testing.assert_allclose(sine.params, [1.0, 1.0, 0.0, 0.0], atol=1e-6)
+        poly = lsq.fit_batch(ModelSpec.polynomial(1), x, (3.0 * x + 1.0)[None])
+        np.testing.assert_allclose(poly.params[0], [3.0, 1.0], atol=1e-10)
+        sine = lsq.fit_batch(ModelSpec.sinusoid(), x, np.sin(x)[None])
+        np.testing.assert_allclose(sine.params[0], [1.0, 1.0, 0.0, 0.0], atol=1e-6)
 
-
-class TestDataset:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Dataset([0.0, 1.0], [1.0])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            Dataset([0.0, float("inf")], [1.0, 2.0])
