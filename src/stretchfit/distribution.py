@@ -137,8 +137,10 @@ def _attach_sign_and_scale(law: StretchedGaussian, gamma_draws: np.ndarray,
             x = (law.scale * gamma_draws) ** (1.0 / (2.0 * law.beta))
     except FloatingPointError as exc:
         raise ValueError(f"variates overflow ({exc}): beta = {law.beta!r} is too small") from exc
-    bits = ((words[..., None] >> np.uint64([31, 63])) & 1).reshape(*words.shape[:-1], -1)
-    return np.negative(x, out=x, where=bits[..., :x.shape[-1]] == 0)
+    # As little-endian int32 halves, word j's bit 31 is the sign bit of half
+    # 2j and its bit 63 that of half 2j + 1; ~halves is negative where the bit is 0.
+    halves = np.asarray(words, "<u8").view("<i4")[..., :x.shape[-1]]
+    return np.copysign(x, ~halves, out=x)
 
 
 def sample_exact(law: StretchedGaussian,
@@ -155,9 +157,13 @@ def sample_exact(law: StretchedGaussian,
     rngs = [rng] if single else list(rng)
     if not rngs:
         raise ValueError("a batch needs at least one generator")
+    g = np.empty((len(rngs), n))
+    words = np.empty((len(rngs), (n + 1) // 2), np.uint64)
     # Each generator draws its Gamma row, then its sign words.
-    g = np.array([r.standard_gamma(law.gamma_shape, n) for r in rngs])
-    samples = _attach_sign_and_scale(law, g, np.array([_sign_words(r, n) for r in rngs]))
+    for r, g_row, words_row in zip(rngs, g, words):
+        r.standard_gamma(law.gamma_shape, out=g_row)
+        words_row[:] = _sign_words(r, n)
+    samples = _attach_sign_and_scale(law, g, words)
     return samples[0] if single else samples
 
 
@@ -239,12 +245,18 @@ def standardize(samples) -> np.ndarray:
 
     A 2-D input is standardized row by row.  The (n-1)-divisor convention
     is used.  A constant row has no defined scale and raises
-    DegenerateScaleError.
+    DegenerateScaleError; samples so large that the computation overflows
+    raise ValueError.
     """
     v = np.asarray(samples, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] < 2:
         raise ValueError("standardize requires vectors of at least 2 samples")
-    sd = v.std(axis=-1, ddof=1, keepdims=True)
+    try:
+        with np.errstate(over="raise"):
+            sd = v.std(axis=-1, ddof=1, keepdims=True)
+            centered = v - v.mean(axis=-1, keepdims=True)
+    except FloatingPointError as exc:
+        raise ValueError(f"standardization overflows ({exc}): the samples are too large") from exc
     if not np.all(sd > 0.0):
         raise DegenerateScaleError("cannot standardize a constant sample")
-    return (v - v.mean(axis=-1, keepdims=True)) / sd
+    return centered / sd

@@ -11,6 +11,7 @@ keeps the batch's columns: trial k of a run is row k of each.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -107,8 +108,107 @@ class ExperimentReport:
 
 
 def trial_rng(base_seed: int, trial_index: int) -> np.random.Generator:
-    """Private stream of one trial, stable under any execution order."""
+    """Private stream of one trial, stable under any execution order.
+
+    This is the one-stream reference, ``default_rng([base_seed, trial_index])``;
+    the Monte Carlo builds the same generators with ``trial_rngs``.
+    """
     return np.random.default_rng([int(base_seed), int(trial_index)])
+
+
+# numpy's SeedSequence hash (O'Neill's seed_seq on a 4-word pool), which
+# trial_rngs runs on uint32 arrays with one column per trial.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = 0, ..., steps, as a column.
+
+    Hash step k xors with constant k and multiplies by constant k + 1.
+    """
+    consts = [init]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, np.uint32)[:, None]
+
+
+def _pool_steps(consts: np.ndarray, src: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constants of the steps that hash pool word ``src`` into each other word.
+
+    These are steps 4 + 3 src, 4 + 3 src + 1 and 4 + 3 src + 2, in the order
+    of the other words; word ``src`` gets a placeholder, as it is not mixed.
+    """
+    steps = [_POOL_SIZE + (_POOL_SIZE - 1) * src + j for j in range(_POOL_SIZE - 1)]
+    steps.insert(src, steps[0])
+    return consts[steps], consts[[k + 1 for k in steps]]
+
+
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE**2)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+_POOL_STEPS = [_pool_steps(_HASH_A, src) for src in range(_POOL_SIZE)]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ value >> _XSHIFT
+
+
+def _seed_states(base_seed: int, count: int) -> np.ndarray:
+    """Row i is ``SeedSequence([base_seed, i]).generate_state(4, np.uint64)``, for i < count."""
+    seed = int(base_seed)
+    index = np.arange(count, dtype=np.uint64)
+    # numpy splits the seed into 32-bit words, low first: one word below
+    # 2**32, else two.  The index goes in as a low and a high word, which
+    # equals numpy's one word because the pool pads with the hash of 0.
+    seed_words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else [])
+    entropy = np.zeros((_POOL_SIZE, count), np.uint32)
+    entropy[:len(seed_words)] = np.array(seed_words, np.uint32)[:, None]
+    entropy[len(seed_words)] = index
+    entropy[len(seed_words) + 1] = index >> np.uint64(32)
+
+    pool = _hashmix(entropy, _HASH_A[:_POOL_SIZE], _HASH_A[1:_POOL_SIZE + 1])
+    for src, (xor, mult) in enumerate(_POOL_STEPS):
+        mixed = pool * _MIX_MULT_L - _hashmix(pool[src], xor, mult) * _MIX_MULT_R
+        mixed ^= mixed >> _XSHIFT
+        mixed[src] = pool[src]
+        pool = mixed
+    # generate_state(4, np.uint64): eight words cycled from the pool, paired
+    # into little-endian uint64s.
+    state = _hashmix(np.concatenate((pool, pool)), _HASH_B[:-1], _HASH_B[1:])
+    return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _preset_seed_type() -> type:
+    """An ISeedSequence that answers PCG64's one ``generate_state(4, np.uint64)``
+    request with words computed ahead.
+
+    It is built on first use, since importing numpy.random adds about 6 MB
+    to a process that never draws, such as ``stretchfit fit``.
+    """
+    class PresetSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self._state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self._state
+    return PresetSeed
+
+
+def trial_rngs(base_seed: int, count: int) -> list[np.random.Generator]:
+    """The generators ``trial_rng(base_seed, i)`` for i < count, seeded in one pass.
+
+    ``base_seed`` lies in [0, 2**64), as TrialConfig requires.  The seed
+    words of every stream are hashed together as arrays; PCG64 then seeds
+    itself from its row as it would from the SeedSequence.
+    """
+    preset_seed = _preset_seed_type()
+    return [np.random.Generator(np.random.PCG64(preset_seed(state)))
+            for state in _seed_states(base_seed, count)]
 
 
 def _add_noise(cfg: TrialConfig, y: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
@@ -166,7 +266,7 @@ def run_monte_carlo(cfg: TrialConfig, repetitions: int) -> ExperimentReport:
     truth = predict(cfg.truth_model, cfg.truth_params, x)
     failures: list[tuple[int, str]] = []
     try:
-        ys = _add_noise(cfg, truth, [trial_rng(cfg.seed, i) for i in range(repetitions)])
+        ys = _add_noise(cfg, truth, trial_rngs(cfg.seed, repetitions))
         lsm = fit_batch(cfg.truth_model, x, ys)
         transition, final = stretched_fit_batch(cfg.truth_model, x, ys, cfg.beta)
         # At an extreme eta the squared gaps overflow; the non-finite errors

@@ -103,9 +103,12 @@ class TestSample:
         ["sample", "-n", "1000000000000000000"],
         ["experiment", "--model", "poly", "--beta", "0.4", "--eta", "30",
          "-n", "1000000000000000000"],
-    ], ids=["sample", "experiment"])
+        ["experiment", "--model", "poly", "--beta", "0.4", "--eta", "30",
+         "--reps", "1000000000000000000"],
+    ], ids=["sample", "experiment", "reps"])
     def test_unallocatable_size_is_usage_error(self, tmp_path, capsys, command):
-        # numpy refuses an array of 10**18 doubles before allocating anything.
+        # numpy refuses an array of 10**18 8-byte entries before allocating
+        # anything, and no loop over samples or trials runs before that.
         out = tmp_path / "out"
         code = main([*command, "--out", str(out)])
         assert code == 2
@@ -459,6 +462,19 @@ class TestExperiment:
             assert trials[6]["slsm_converged"] is False
             assert (trials[2]["lsm_converged"], trials[2]["slsm_converged"]) == (False, True)
         assert text == json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+    def test_overflowing_standardization_is_usage_error(self, tmp_path, capsys):
+        # At beta 0.005 the variates stay finite (up to about 1e211), but
+        # their squares overflow while the noise is standardized.
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["experiment", "--model", "poly", "--beta", "0.005", "--eta", "30",
+                         "--reps", "3", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "stretchfit: error: standardization overflows (overflow encountered in square)")
+        assert not out.exists()
 
     def test_non_finite_errors_are_usage_error(self, tmp_path, capsys):
         # At eta 1e308 the noise is finite but the squared gaps overflow.

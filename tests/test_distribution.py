@@ -319,11 +319,13 @@ class TestBatchedExact:
 
     @pytest.mark.parametrize("beta", [0.3, 0.8, 1.0])
     def test_rows_bit_equal_to_single_draws(self, beta):
+        # An odd n leaves the last sign word's bit 63 unused.
         law = law_with_scale(beta, 2.0)
-        batch = sample_exact(law, streams(7), self.N)
-        assert batch.shape == (7, self.N)
-        for row, rng in zip(batch, streams(7)):
-            assert row.tobytes() == sample_exact(law, rng, self.N).tobytes()
+        for n in (self.N, self.N + 1):
+            batch = sample_exact(law, streams(7), n)
+            assert batch.shape == (7, n)
+            for row, rng in zip(batch, streams(7)):
+                assert row.tobytes() == sample_exact(law, rng, n).tobytes()
 
     @pytest.mark.parametrize("n", [1, 200, 201])
     def test_same_draws_as_gamma_with_integer_signs(self, n):
@@ -391,6 +393,13 @@ class TestStandardize:
         out = standardize(rows)
         for row, got in zip(rows, out):
             assert got.tobytes() == standardize(row).tobytes()
+
+    def test_overflow_rejected(self):
+        # Squares of samples near 1e200 overflow; numpy would warn and return sd = inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="standardization overflows"):
+                standardize([1e200, -2e200, 3e211])
 
     def test_constant_row_rejected(self):
         rows = np.random.default_rng(47).normal(size=(4, 10))

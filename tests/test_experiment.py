@@ -19,7 +19,7 @@ from stretchfit import (
     standardize,
     stretched_fit_batch,
 )
-from stretchfit.experiment import ERROR_COLUMNS, TIE_RTOL, trial_rng
+from stretchfit.experiment import ERROR_COLUMNS, TIE_RTOL, trial_rng, trial_rngs
 
 
 def poly_config(seed=0, beta=0.4, eta=30.0, **kw):
@@ -97,6 +97,17 @@ class TestAddNoise:
             a = noisy_ordinates(cfg, trial_rng(k, 0))
             b = noisy_ordinates(cfg, trial_rng(k + 1, 0))
             assert not np.array_equal(a, b)
+
+
+class TestTrialStreams:
+    @pytest.mark.parametrize("count", [1, 2, 257])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    def test_batch_has_the_states_of_the_one_stream_reference(self, seed, count):
+        # Seeds from 2**32 up are two 32-bit words of entropy, the rest one.
+        rngs = trial_rngs(seed, count)
+        assert len(rngs) == count
+        for i, rng in enumerate(rngs):
+            assert rng.bit_generator.state == trial_rng(seed, i).bit_generator.state
 
 
 class TestErrorMetrics:
