@@ -47,7 +47,7 @@ from .lsq import (
     fit_sinusoid,
     predict,
 )
-from .stretched import StageFailure, stretched_fit_batch
+from .stretched import stretched_fit_batch
 
 __all__ = [
     "DegenerateScaleError",
@@ -74,7 +74,6 @@ __all__ = [
     "fit_linear",
     "fit_sinusoid",
     "predict",
-    "StageFailure",
     "stretched_fit_batch",
     "ExperimentReport",
     "TrialConfig",

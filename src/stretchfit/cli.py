@@ -29,7 +29,7 @@ from .experiment import (
     run_monte_carlo,
 )
 from .lsq import FitBatch, ModelSpec, SingularFitError, fit_batch, predict
-from .stretched import StageFailure, stretched_fit_batch
+from .stretched import stretched_fit_batch
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -247,11 +247,9 @@ def _experiment_json(payload: dict, report: ExperimentReport) -> str:
     records = ",\n".join(
         _TRIAL_RECORD % (lsm, e1, e2, slsm, s1, s2, i) for i, ((e1, e2, s1, s2), lsm, slsm)
         in enumerate(zip(report.errors.tolist(), *flags)))
-    if records:
-        # Strings are escaped inside JSON, so only the top-level key matches.
-        head, tail = text.split('\n  "trials": []')
-        text = f'{head}\n  "trials": [\n{records}\n  ]{tail}'
-    return text + "\n"
+    # Strings are escaped inside JSON, so only the top-level key matches.
+    head, tail = text.split('\n  "trials": []')
+    return f'{head}\n  "trials": [\n{records}\n  ]{tail}\n'
 
 
 def cmd_experiment(args) -> int:
@@ -274,9 +272,10 @@ def cmd_experiment(args) -> int:
     payload = {
         "manifest": asdict(manifest),
         "config": token,
-        "repetitions": report.repetitions,
-        "excluded": len(report.failures),
-        "failures": [{"trial": i, "error": msg} for i, msg in report.failures],
+        "repetitions": len(report.errors),
+        # No trial is ever excluded: a fit failure fails the whole run.
+        "excluded": 0,
+        "failures": [],
         "win_rate_error1": report.win_rate_error1,
         "win_rate_error2": report.win_rate_error2,
         "ties_error1": report.ties_error1,
@@ -325,10 +324,6 @@ def cmd_tables(args) -> int:
     summaries: dict[str, dict] = {}
     for token, cfg in grid:
         report = run_monte_carlo(cfg, args.reps)
-        if report.failures:
-            print(f"stretchfit: every trial of {token} failed: {report.failures[0][1]}",
-                  file=sys.stderr)
-            return EXIT_NUMERICAL
         stem = token.replace(":", "_")
         k = _representative_trial(report)
 
@@ -339,8 +334,8 @@ def cmd_tables(args) -> int:
         summary_path = outdir / f"summary_{stem}.csv"
         summary_header = ["config", "repetitions", "excluded",
                           "win_rate_error1", "win_rate_error2", "ties_error1", "ties_error2"]
-        summary_row: list = [token, report.repetitions, len(report.failures),
-                             float(report.win_rate_error1), float(report.win_rate_error2),
+        summary_row: list = [token, len(report.errors), 0,
+                             report.win_rate_error1, report.win_rate_error2,
                              report.ties_error1, report.ties_error2]
         for col in ERROR_COLUMNS:
             summary_header += [f"median_{col}", f"iqr_{col}"]
@@ -361,7 +356,7 @@ def cmd_tables(args) -> int:
             "win_rate_error1": report.win_rate_error1,
             "win_rate_error2": report.win_rate_error2,
             "medians": report.medians,
-            "excluded": len(report.failures),
+            "excluded": 0,
         }
 
     manifest = RunManifest(
@@ -491,9 +486,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError) as exc:
         print(f"stretchfit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except StageFailure as exc:
-        print(f"stretchfit: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (SingularFitError, SamplerFailureError, np.linalg.LinAlgError) as exc:
         print(f"stretchfit: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

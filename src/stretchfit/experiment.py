@@ -13,18 +13,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distribution import StretchedGaussian, sample_exact, standardize
-from .lsq import FitBatch, ModelSpec, SingularFitError, fit_batch, predict
-from .stretched import StageFailure, stretched_fit_batch
-
-# Fit errors that mark the batch's trials failed (excluded from win rates)
-# rather than aborting the whole Monte Carlo run.  A fit that did not
-# converge is not among them: it is kept and flagged by its stop reason.
-TRIAL_FAILURE_TYPES = (SingularFitError, StageFailure)
+from .lsq import FitBatch, ModelSpec, fit_batch, predict
+from .stretched import stretched_fit_batch
 
 ERROR_COLUMNS = ("lsm_error1", "lsm_error2", "slsm_error1", "slsm_error2")
 
@@ -73,29 +68,25 @@ class ExperimentReport:
     """Aggregate of a seeded Monte Carlo run, with its per-trial columns.
 
     Row k of the noisy ``ordinates``, of ``errors`` (columns in ERROR_COLUMNS
-    order) and of the fit batches belongs to trial k; a failure excludes
-    every trial, so then they have no rows.  Win rates are exact fractions
-    of successful trials in which the stretched method is strictly better on
-    the given metric, and None when no trial succeeded; failed trials are
-    listed and excluded.  Ties count the trials whose two errors agree to
-    TIE_RTOL; they are reported apart and do not change the strict win
-    rates.
+    order) and of the fit batches belongs to trial k.  Win rates are exact
+    fractions of the trials in which the stretched method is strictly
+    better on the given metric.  Ties count the trials whose two errors
+    agree to TIE_RTOL; they are reported apart and do not change the strict
+    win rates.
     """
 
     config: TrialConfig
-    repetitions: int
     ordinates: np.ndarray
     errors: np.ndarray
     lsm: FitBatch
     transition: FitBatch
     final: FitBatch
-    failures: tuple[tuple[int, str], ...]
-    win_rate_error1: float | None
-    win_rate_error2: float | None
+    win_rate_error1: float
+    win_rate_error2: float
     ties_error1: int
     ties_error2: int
-    medians: dict[str, float] = field(default_factory=dict)
-    iqrs: dict[str, float] = field(default_factory=dict)
+    medians: dict[str, float]
+    iqrs: dict[str, float]
 
     def column(self, name: str) -> np.ndarray:
         """The errors named ``name`` (one of ERROR_COLUMNS), one per trial."""
@@ -253,67 +244,55 @@ def run_monte_carlo(cfg: TrialConfig, repetitions: int) -> ExperimentReport:
 
     Trial i always draws from the stream (cfg.seed, i).  The noise of every
     trial is drawn as one batch, and the trials are then fitted and scored
-    as one batch.  A fit failure excludes every trial: for polynomials the
-    trials share one design matrix, so a rank-deficient design is the
-    configuration's failure.  An error that is not finite (the squared gaps
-    overflow at an extreme eta) raises ValueError naming the first such
-    trial and column.
+    as one batch, so a fit that fails (for polynomials the trials share one
+    design matrix) raises for the whole run.  A truth that overflows on the
+    domain, or an error that is not finite (the squared gaps overflow at an
+    extreme eta), raises ValueError; the latter names the first such trial
+    and column.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
 
     x = np.linspace(*cfg.x_domain, cfg.n)
-    truth = predict(cfg.truth_model, cfg.truth_params, x)
-    failures: list[tuple[int, str]] = []
     try:
-        ys = _add_noise(cfg, truth, trial_rngs(cfg.seed, repetitions))
-        lsm = fit_batch(cfg.truth_model, x, ys)
-        transition, final = stretched_fit_batch(cfg.truth_model, x, ys, cfg.beta)
-        # At an extreme eta the squared gaps overflow; the non-finite errors
-        # are reported below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            lsm_values, slsm_values = lsm.predict(x), final.predict(x)
-            errors = np.column_stack([error1(lsm_values, truth), error2(lsm_values, truth),
-                                      error1(slsm_values, truth), error2(slsm_values, truth)])
-    except TRIAL_FAILURE_TYPES as exc:
-        failures = [(i, f"{type(exc).__name__}: {exc}") for i in range(repetitions)]
-        ys = np.empty((0, cfg.n))
-        lsm = transition = final = FitBatch(
-            cfg.truth_model, np.empty((0, cfg.truth_model.n_params)), np.empty(0), (), ())
-        errors = np.empty((0, len(ERROR_COLUMNS)))
+        with np.errstate(over="raise"):
+            truth = predict(cfg.truth_model, cfg.truth_params, x)
+    except FloatingPointError as exc:
+        raise ValueError(f"the truth overflows on the domain {cfg.x_domain} ({exc})") from exc
+    ys = _add_noise(cfg, truth, trial_rngs(cfg.seed, repetitions))
+    lsm = fit_batch(cfg.truth_model, x, ys)
+    transition, final = stretched_fit_batch(cfg.truth_model, x, ys, cfg.beta)
+    # At an extreme eta the squared gaps overflow; the non-finite errors are
+    # reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lsm_values, slsm_values = lsm.predict(x), final.predict(x)
+        errors = np.column_stack([error1(lsm_values, truth), error2(lsm_values, truth),
+                                  error1(slsm_values, truth), error2(slsm_values, truth)])
 
     bad = np.argwhere(~np.isfinite(errors))
     if bad.size:
         k, j = bad[0].tolist()
         raise ValueError(f"trial {k} has a non-finite {ERROR_COLUMNS[j]} ({errors[k, j]})")
 
-    win_rates, ties = [None, None], [0, 0]
-    medians: dict[str, float] = {}
-    iqrs: dict[str, float] = {}
-    if len(errors):
-        plain, stretched = errors[:, :2], errors[:, 2:]
-        win_rates = [w / len(errors) for w in np.count_nonzero(stretched < plain, axis=0).tolist()]
-        tied = np.abs(plain - stretched) <= TIE_RTOL * np.maximum(plain, stretched)
-        ties = np.count_nonzero(tied, axis=0).tolist()
-        medians = dict(zip(ERROR_COLUMNS, np.median(errors, axis=0).tolist()))
-        q25, q75 = np.percentile(errors, [25.0, 75.0], axis=0)
-        iqrs = dict(zip(ERROR_COLUMNS, (q75 - q25).tolist()))
+    plain, stretched = errors[:, :2], errors[:, 2:]
+    win_rates = [w / repetitions for w in np.count_nonzero(stretched < plain, axis=0).tolist()]
+    tied = np.abs(plain - stretched) <= TIE_RTOL * np.maximum(plain, stretched)
+    ties = np.count_nonzero(tied, axis=0).tolist()
+    q25, q75 = np.percentile(errors, [25.0, 75.0], axis=0)
 
     return ExperimentReport(
         config=cfg,
-        repetitions=repetitions,
         ordinates=ys,
         errors=errors,
         lsm=lsm,
         transition=transition,
         final=final,
-        failures=tuple(failures),
         win_rate_error1=win_rates[0],
         win_rate_error2=win_rates[1],
         ties_error1=ties[0],
         ties_error2=ties[1],
-        medians=medians,
-        iqrs=iqrs,
+        medians=dict(zip(ERROR_COLUMNS, np.median(errors, axis=0).tolist())),
+        iqrs=dict(zip(ERROR_COLUMNS, (q75 - q25).tolist())),
     )
 
 

@@ -147,7 +147,8 @@ def fit_linear(degree: int, x: np.ndarray, ys: np.ndarray) -> FitBatch:
     rows are one contraction with the pseudo-inverse, by np.einsum, which
     computes each row on its own: the rows of a BLAS matrix product change
     in the last bits with the number of rows, and a row's fit must be the
-    same bits in any batch.
+    same bits in any batch.  Abscissas so large that their powers overflow
+    raise ValueError.
     """
     n_params = degree + 1
     if x.size < n_params:
@@ -157,8 +158,12 @@ def fit_linear(degree: int, x: np.ndarray, ys: np.ndarray) -> FitBatch:
     # long data.
     powers = np.empty((n_params, x.size))
     powers[-1] = 1.0
-    for k in range(degree - 1, -1, -1):
-        np.multiply(powers[k + 1], x, out=powers[k])
+    try:
+        with np.errstate(over="raise"):
+            for k in range(degree - 1, -1, -1):
+                np.multiply(powers[k + 1], x, out=powers[k])
+    except FloatingPointError as exc:
+        raise ValueError(f"polynomial fit overflows ({exc}): the abscissas are too large") from exc
     u, s, vt = np.linalg.svd(powers.T, full_matrices=False)
     rank = int(np.count_nonzero(s > np.finfo(float).eps * max(powers.shape) * s[0]))
     if rank < n_params:
@@ -192,14 +197,21 @@ def canonicalize_sinusoid(params) -> np.ndarray:
 
 
 def _frequency_grid(x: np.ndarray) -> np.ndarray:
-    """The profile scan's frequencies; the first and last are the search domain's ends."""
+    """The profile scan's frequencies; the first and last are the search domain's ends.
+
+    A span so short that twice the last frequency overflows raises
+    ValueError: the refinement bisects its bracket at (lo + hi) / 2.
+    """
     span = float(x.max() - x.min())
     if span <= 0.0:
         raise ValueError("abscissas must span a positive interval")
-    base = 2.0 * math.pi / span
+    step = 2.0 * math.pi / span / _GRID_DENSITY
     # b_k * span = 2*pi*k / _GRID_DENSITY < pi * (n - 1): below Nyquist on equal spacing.
     points = min(_GRID_POINTS, (_GRID_DENSITY * (x.size - 1) - 1) // 2)
-    return base / _GRID_DENSITY * np.arange(1, points + 1)
+    # Python floats overflow to inf silently; numpy's product below gives the same bits.
+    if not math.isfinite(2.0 * step * points):
+        raise ValueError(f"abscissa span {span!r} is too short: the scan's frequencies overflow")
+    return step * np.arange(1, points + 1)
 
 
 def _scan_blocks(x: np.ndarray):

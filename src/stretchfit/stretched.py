@@ -10,18 +10,8 @@ of ordinate rows on shared abscissas.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .hausdorff import reset_horizontal
-from .lsq import FitBatch, ModelSpec, SingularFitError, fit_batch, predict
-
-
-class StageFailure(RuntimeError):
-    """A least squares stage of the two-stage procedure failed numerically."""
-
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"{stage} stage failed: {cause}")
-        self.stage = stage
+from .lsq import FitBatch, ModelSpec, fit_batch, predict
 
 
 def stretched_fit_batch(model: ModelSpec, x, ys, beta: float) -> tuple[FitBatch, FitBatch]:
@@ -29,23 +19,11 @@ def stretched_fit_batch(model: ModelSpec, x, ys, beta: float) -> tuple[FitBatch,
 
     Returns the (transition, final) fits of the rows.  Both stages use the
     family's global solver, so a sinusoid stage that did not converge comes
-    back flagged by its stop reason rather than raised.  Only numerical
-    failures of a stage become StageFailure; invalid input raises as it
-    does from ``fit_batch``.
+    back flagged by its stop reason rather than raised.  A stage that fails
+    raises as ``fit_batch`` does.
     """
     xx = reset_horizontal(x, beta)
-
-    try:
-        transition = fit_batch(model, xx, ys)
-    except (SingularFitError, np.linalg.LinAlgError) as exc:
-        raise StageFailure("transition", exc) from exc
-
+    transition = fit_batch(model, xx, ys)
     smoothed = predict(model, transition.params, xx)
-
-    try:
-        final = fit_batch(model, x, smoothed)
-    except (SingularFitError, np.linalg.LinAlgError) as exc:
-        raise StageFailure("final", exc) from exc
-
+    final = fit_batch(model, x, smoothed)
     return transition, final
-

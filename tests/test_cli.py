@@ -210,6 +210,22 @@ class TestFit:
                      "--out", str(tmp_path / "f.json")])
         assert code == 4
 
+    @pytest.mark.parametrize("method", [[], ["--method", "stretched", "--beta", "0.4"]],
+                             ids=["lsm", "stretched"])
+    def test_overflowing_polynomial_fit_is_usage_error(self, tmp_path, capsys, method):
+        path = tmp_path / "big.csv"
+        path.write_text("x,y\n" + "".join(f"{i}e200,{i}\n" for i in range(5)))
+        out = tmp_path / "f.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", "--input", str(path), "--model", "poly2", *method,
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "stretchfit: error: polynomial fit overflows (overflow encountered in multiply): "
+            "the abscissas are too large\n")
+        assert not out.exists()
+
     def test_nonconvergence_exit_code_and_report(self, tmp_path):
         # These data's best frequency is the search domain's lower end.
         rng = np.random.default_rng(1)
@@ -392,14 +408,26 @@ class TestExperiment:
         assert value in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
-    def test_all_trials_failed_writes_null_win_rates(self, tmp_path, failing_fit):
+    def test_fit_failure_is_numerical_failure(self, tmp_path, capsys, failing_fit):
         out = tmp_path / "report.json"
         code = main(["experiment", "--model", "poly", "--beta", "0.4", "--eta", "30",
                      "--reps", "3", "--out", str(out)])
-        assert code == 0
-        report = strict_json(out.read_text())
-        assert report["excluded"] == 3 and report["trials"] == []
-        assert report["win_rate_error1"] is None and report["win_rate_error2"] is None
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "synthetic failure" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_rank_deficient_design_is_numerical_failure(self, tmp_path, capsys):
+        # On [0, 1e120] the powers x**2 and x differ by 120 decades.
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["experiment", "--model", "poly", "--beta", "0.4", "--eta", "30",
+                         "--reps", "3", "--xmax", "1e120", "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err == ("stretchfit: numerical failure: design matrix "
+                                           "rank 1 below 3; abscissas are degenerate\n")
+        assert not out.exists()
 
     def test_round_trips(self, tmp_path):
         out = tmp_path / "report.json"
@@ -408,22 +436,18 @@ class TestExperiment:
         text = out.read_text()
         assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
 
-    @pytest.mark.parametrize("model, beta, eta, seed, reps, failing", [
-        ("poly", 0.8, 50.0, 3, 250, False),
+    @pytest.mark.parametrize("model, beta, eta, seed, reps", [
+        ("poly", 0.8, 50.0, 3, 250),
         # Trial 6's transition stage stops on the frequency boundary, and
         # trial 2's plain fit does.
-        ("sin", 0.4, 50.0, 3, 16, False),
+        ("sin", 0.4, 50.0, 3, 16),
         # Every trial has the same errors.
-        ("poly", 0.4, 0.0, 0, 6, False),
-        # Every trial fails: null win rates, no trials.
-        ("poly", 0.4, 30.0, 0, 3, True),
-    ], ids=["poly-250", "sin-boundary", "eta-0", "all-failed"])
-    def test_report_is_json_dumps_of_the_trial_dicts(self, tmp_path, request, model, beta,
-                                                     eta, seed, reps, failing):
+        ("poly", 0.4, 0.0, 0, 6),
+    ], ids=["poly-250", "sin-boundary", "eta-0"])
+    def test_report_is_json_dumps_of_the_trial_dicts(self, tmp_path, model, beta, eta, seed,
+                                                     reps):
         # The report's trials are formatted from its columns; the file must be
         # the bytes json.dumps writes for one dict per trial.
-        if failing:
-            request.getfixturevalue("failing_fit")
         out = tmp_path / "report.json"
         code = main(["experiment", "--model", model, "--beta", str(beta), "--eta", str(eta),
                      "--reps", str(reps), "--seed", str(seed), "--out", str(out)])
@@ -447,8 +471,8 @@ class TestExperiment:
             "manifest": json.loads(text)["manifest"],
             "config": f"{model}:b{beta:g}:e{eta:g}",
             "repetitions": reps,
-            "excluded": len(report.failures),
-            "failures": [{"trial": i, "error": msg} for i, msg in report.failures],
+            "excluded": 0,
+            "failures": [],
             "win_rate_error1": report.win_rate_error1,
             "win_rate_error2": report.win_rate_error2,
             "ties_error1": report.ties_error1,
@@ -457,7 +481,7 @@ class TestExperiment:
             "iqrs": report.iqrs,
             "trials": trials,
         }
-        assert len(trials) == (0 if failing else reps)
+        assert len(trials) == reps
         if model == "sin":
             assert trials[6]["slsm_converged"] is False
             assert (trials[2]["lsm_converged"], trials[2]["slsm_converged"]) == (False, True)
@@ -486,6 +510,21 @@ class TestExperiment:
         assert code == 2
         assert capsys.readouterr().err == (
             "stretchfit: error: trial 0 has a non-finite lsm_error2 (inf)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, xmax, message", [
+        # x**2 + x + 2 overflows on [0, 1e160].
+        ("poly", "1e160", "the truth overflows on the domain (0.0, 1e+160)"),
+        ("sin", "1e-310", "abscissa span 1e-310 is too short"),
+    ], ids=["truth-overflow", "short-span"])
+    def test_unusable_domain_is_usage_error(self, tmp_path, capsys, model, xmax, message):
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["experiment", "--model", model, "--beta", "0.4", "--eta", "30",
+                         "--reps", "3", "--xmax", xmax, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"stretchfit: error: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--eta", "1e155"], ["--eta", "1e308"],
@@ -555,7 +594,7 @@ class TestTables:
                      "--out", str(tmp_path / "t")])
         assert code == 4
         err = capsys.readouterr().err
-        assert "poly:b0.4:e30" in err and "synthetic failure" in err
+        assert "synthetic failure" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("eta", [0.0, 30.0])

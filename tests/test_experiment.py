@@ -278,16 +278,13 @@ class TestRunMonteCarlo:
             assert getattr(report, f"win_rate_{metric}") == wins / len(pairs)
             assert getattr(report, f"ties_{metric}") == ties
 
-    def test_fit_failure_excludes_every_trial(self, monkeypatch):
+    def test_fit_failure_propagates(self, monkeypatch):
         def singular(*args, **kwargs):
             raise SingularFitError("synthetic failure")
 
         monkeypatch.setattr(experiment, "fit_batch", singular)
-        report = run_monte_carlo(poly_config(seed=9), repetitions=5)
-        assert report.errors.shape == (0, 4) and report.ordinates.shape == (0, 200)
-        assert [i for i, _ in report.failures] == [0, 1, 2, 3, 4]
-        assert (report.win_rate_error1, report.win_rate_error2) == (None, None)
-        assert report.medians == report.iqrs == {}
+        with pytest.raises(SingularFitError, match="synthetic failure"):
+            run_monte_carlo(poly_config(seed=9), repetitions=5)
 
     def test_zero_noise_outcome_is_deterministic(self):
         cfg = grid_config("poly", 1.0, 0.0, seed=10)

@@ -174,6 +174,12 @@ class TestFitLinear:
         with pytest.raises(ValueError):
             fit_batch(ModelSpec.polynomial(2), [0.0, 1.0], [[1.0, 2.0]])
 
+    def test_overflowing_powers_rejected(self):
+        # x**2 overflows above about 1.34e154, and an SVD of a design that
+        # holds inf does not return.
+        with pytest.raises(ValueError, match=r"polynomial fit overflows \(overflow encountered"):
+            fit_batch(ModelSpec.polynomial(2), np.arange(5) * 1e200, [np.arange(5.0)])
+
     def test_deterministic(self):
         rng = np.random.default_rng(13)
         x = rng.uniform(0.0, 1.0, 90)
@@ -257,6 +263,21 @@ class TestFitNonlinear:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             fit_batch(ModelSpec.sinusoid(), [0.0, 1.0, 2.0], [[0.1, 0.2, 0.3]])
+
+    @pytest.mark.parametrize("span", [1e-310, 1e-307, 5e-307])
+    def test_too_short_span_rejected(self, span):
+        # 2*pi / span overflows below about 3.5e-308, the last grid frequency
+        # below about 2.8e-307, and the sum of two grid frequencies, which the
+        # refinement bisects, below about 5.6e-307; each made the fit loop on
+        # an infinite bracket or report an overflow of the data.
+        x = np.linspace(0.0, span, 200)
+        with pytest.raises(ValueError, match=f"abscissa span {span!r} is too short"):
+            fit_batch(ModelSpec.sinusoid(), x, [np.sin(np.arange(200.0))])
+
+    def test_shortest_span_fits(self):
+        x = np.linspace(0.0, 6e-307, 200)
+        result = fit_batch(ModelSpec.sinusoid(), x, [np.sin(np.arange(200.0))])
+        assert np.all(np.isfinite(result.params))
 
     def test_boundary_optimum_is_flagged(self):
         # On [0, 1] the noisy sin(x) profile often falls toward b -> 0, where
