@@ -13,7 +13,6 @@ import functools
 import json
 import sys
 import warnings
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,14 +41,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    seed: int
-    config: dict
-    outputs: tuple[str, ...]
-    tool: str = "stretchfit"
-    version: str = __version__
+# The options every subcommand shares, and argparse's own entries.
+_NOT_CONFIG = ("seed", "out", "threads", "config", "command", "func")
+
+
+def _manifest(args, outputs: list[str], **resolved) -> dict:
+    """The run's manifest; its config is every other option, with ``resolved`` values."""
+    config = {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
+    return {"tool": "stretchfit", "version": __version__, "command": args.command,
+            "seed": args.seed, "config": {**config, **resolved}, "outputs": outputs}
 
 
 def _write_text(path: Path, content: str) -> None:
@@ -85,28 +85,14 @@ def cmd_sample(args) -> int:
     law = StretchedGaussian(
         alpha=args.alpha, beta=args.beta, diffusivity=args.diffusivity, time=args.time
     )
-    if args.count < 1:
-        raise ValueError(f"sample count must be at least 1, got {args.count}")
     rng = np.random.default_rng(args.seed)
     draw = sample_exact if args.method == "exact" else sample_rejection
     samples = draw(law, rng, args.count)
 
     out = Path(args.out or "samples.txt")
-    manifest = RunManifest(
-        command="sample",
-        seed=args.seed,
-        config={
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "diffusivity": args.diffusivity,
-            "time": args.time,
-            "count": args.count,
-            "method": args.method,
-        },
-        outputs=(str(out),),
-    )
+    manifest = _manifest(args, [str(out)])
     body = "\n".join(_fmt(v) for v in samples)
-    header = "# manifest " + json.dumps(asdict(manifest), sort_keys=True, allow_nan=False)
+    header = "# manifest " + json.dumps(manifest, sort_keys=True, allow_nan=False)
     _write_text(out, header + "\n" + body + "\n")
     return EXIT_OK
 
@@ -191,26 +177,16 @@ def cmd_fit(args) -> int:
     x, y = _read_xy_csv(Path(args.input))
 
     out = Path(args.out or "fit.json")
-    manifest = RunManifest(
-        command="fit",
-        seed=args.seed,
-        config={
-            "input": str(args.input),
-            "model": args.model,
-            "method": args.method,
-            "beta": args.beta,
-        },
-        outputs=(str(out),),
-    )
+    manifest = _manifest(args, [str(out)])
 
     if args.method == "lsm":
         result = fit_batch(model, x, y[None])
-        report = {"manifest": asdict(manifest), "method": "lsm", **_fit_dict(result)}
+        report = {"manifest": manifest, "method": "lsm", **_fit_dict(result)}
         converged = result.converged[0]
     else:
         transition, final = stretched_fit_batch(model, x, y[None], args.beta)
         report = {
-            "manifest": asdict(manifest),
+            "manifest": manifest,
             "method": "stretched",
             **_fit_dict(final),
             "stages": {
@@ -260,29 +236,8 @@ def cmd_experiment(args) -> int:
     report = run_monte_carlo(cfg, args.reps)
     token = config_token(args.model, args.beta, args.eta)
     out = Path(args.out or f"experiment_{token.replace(':', '_')}.json")
-    manifest = RunManifest(
-        command="experiment",
-        seed=args.seed,
-        config={
-            "model": args.model, "beta": args.beta, "eta": args.eta,
-            "n": args.n, "xmin": args.xmin, "xmax": args.xmax, "reps": args.reps,
-        },
-        outputs=(str(out),),
-    )
-    payload = {
-        "manifest": asdict(manifest),
-        "config": token,
-        "repetitions": len(report.errors),
-        # No trial is ever excluded: a fit failure fails the whole run.
-        "excluded": 0,
-        "failures": [],
-        "win_rate_error1": report.win_rate_error1,
-        "win_rate_error2": report.win_rate_error2,
-        "ties_error1": report.ties_error1,
-        "ties_error2": report.ties_error2,
-        "medians": report.medians,
-        "iqrs": report.iqrs,
-    }
+    payload = {"manifest": _manifest(args, [str(out)]), "config": token,
+               **report.summary, "failures": []}
     _write_text(out, _experiment_json(payload, report))
     return EXIT_OK
 
@@ -331,16 +286,14 @@ def cmd_tables(args) -> int:
         table_path = outdir / f"table_{stem}.csv"
         _write_csv(table_path, header, rows)
 
+        summary = report.summary
         summary_path = outdir / f"summary_{stem}.csv"
-        summary_header = ["config", "repetitions", "excluded",
-                          "win_rate_error1", "win_rate_error2", "ties_error1", "ties_error2"]
-        summary_row: list = [token, len(report.errors), 0,
-                             report.win_rate_error1, report.win_rate_error2,
-                             report.ties_error1, report.ties_error2]
+        # The summary's numbers, then the median and IQR of each error column.
+        numbers = {key: value for key, value in summary.items() if not isinstance(value, dict)}
+        cells = {"config": token, **numbers}
         for col in ERROR_COLUMNS:
-            summary_header += [f"median_{col}", f"iqr_{col}"]
-            summary_row += [report.medians[col], report.iqrs[col]]
-        _write_csv(summary_path, summary_header, [summary_row])
+            cells |= {f"median_{col}": summary["medians"][col], f"iqr_{col}": summary["iqrs"][col]}
+        _write_csv(summary_path, list(cells), [list(cells.values())])
 
         x = np.linspace(*cfg.x_domain, cfg.n)
         columns = [x, report.ordinates[k], predict(cfg.truth_model, cfg.truth_params, x),
@@ -351,25 +304,12 @@ def cmd_tables(args) -> int:
                    np.column_stack(columns).tolist())
 
         outputs += [str(table_path), str(summary_path), str(figure_path)]
-        summaries[token] = {
-            "representative_trial": k,
-            "win_rate_error1": report.win_rate_error1,
-            "win_rate_error2": report.win_rate_error2,
-            "medians": report.medians,
-            "excluded": 0,
-        }
+        keys = ("win_rate_error1", "win_rate_error2", "medians", "excluded")
+        summaries[token] = {"representative_trial": k, **{key: summary[key] for key in keys}}
 
-    manifest = RunManifest(
-        command="tables",
-        seed=args.seed,
-        config={
-            "reps": args.reps,
-            "configs": sorted(token for token, _ in grid),
-            "out": str(outdir),
-        },
-        outputs=tuple(outputs),
-    )
-    payload = {"manifest": asdict(manifest), "summaries": summaries}
+    manifest = _manifest(args, outputs, configs=sorted(token for token, _ in grid),
+                         out=str(outdir))
+    payload = {"manifest": manifest, "summaries": summaries}
     _write_text(outdir / "manifest.json",
                 json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return EXIT_OK
@@ -447,8 +387,11 @@ def _config_value(key: str, value, action: argparse.Action):
     return value
 
 
-def _config_defaults(path: str, command: argparse.ArgumentParser) -> dict:
-    """Entries of a --config file, checked against the subcommand's options."""
+def _apply_config(path: str, command: argparse.ArgumentParser) -> None:
+    """Make the entries of a --config file the defaults of the subcommand's options.
+
+    Flags given explicitly still win; a non-null entry satisfies a required option.
+    """
     try:
         entries = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -460,7 +403,11 @@ def _config_defaults(path: str, command: argparse.ArgumentParser) -> dict:
     unknown = sorted(set(entries) - set(options))
     if unknown:
         raise ValueError(f"--config keys {unknown} are not options of this command")
-    return {key: _config_value(key, value, options[key]) for key, value in entries.items()}
+    for key, value in entries.items():
+        action = options[key]
+        action.default = _config_value(key, value, action)
+        if action.default is not None:
+            action.required = False
 
 
 @functools.lru_cache(maxsize=1)
@@ -469,17 +416,31 @@ def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     return build_parser()
 
 
+@functools.lru_cache(maxsize=1)
+def _config_lookup() -> argparse.ArgumentParser:
+    """A parser of the subcommand and its --config path alone, which raises on errors."""
+    lookup = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    sub = lookup.add_subparsers(dest="command")
+    for name in _shared_parser()[1]:
+        sub.add_parser(name, add_help=False, exit_on_error=False).add_argument("--config")
+    return lookup
+
+
 def main(argv=None) -> int:
-    parser, commands = _shared_parser()
-    args = parser.parse_args(argv)
+    parser = _shared_parser()[0]
     try:
-        if args.config:
-            # Config entries become defaults, so flags given explicitly win.  They
-            # go into a parser of this call's own, not into the shared one.
+        # The config may set required options, so it is found before the full
+        # parse, which reports any usage error.
+        found, _ = _config_lookup().parse_known_args(argv)
+    except argparse.ArgumentError:
+        found = None
+    try:
+        if getattr(found, "config", None):
+            # Config entries go into a parser of this call's own, not into
+            # the shared one.
             parser, commands = build_parser()
-            command = commands[args.command]
-            command.set_defaults(**_config_defaults(args.config, command))
-            args = parser.parse_args(argv)
+            _apply_config(found.config, commands[found.command])
+        args = parser.parse_args(argv)
         if args.threads < 1:
             raise ValueError(f"threads must be at least 1, got {args.threads}")
         return args.func(args)

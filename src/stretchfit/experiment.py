@@ -65,14 +65,10 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Aggregate of a seeded Monte Carlo run, with its per-trial columns.
+    """A seeded Monte Carlo run: its per-trial columns and their summary.
 
     Row k of the noisy ``ordinates``, of ``errors`` (columns in ERROR_COLUMNS
-    order) and of the fit batches belongs to trial k.  Win rates are exact
-    fractions of the trials in which the stretched method is strictly
-    better on the given metric.  Ties count the trials whose two errors
-    agree to TIE_RTOL; they are reported apart and do not change the strict
-    win rates.
+    order) and of the fit batches belongs to trial k.
     """
 
     config: TrialConfig
@@ -81,12 +77,6 @@ class ExperimentReport:
     lsm: FitBatch
     transition: FitBatch
     final: FitBatch
-    win_rate_error1: float
-    win_rate_error2: float
-    ties_error1: int
-    ties_error2: int
-    medians: dict[str, float]
-    iqrs: dict[str, float]
 
     def column(self, name: str) -> np.ndarray:
         """The errors named ``name`` (one of ERROR_COLUMNS), one per trial."""
@@ -96,6 +86,33 @@ class ExperimentReport:
     def slsm_converged(self) -> np.ndarray:
         """True for the trials whose two stretched stages both converged."""
         return self.transition.converged & self.final.converged
+
+    @functools.cached_property
+    def summary(self) -> dict:
+        """The aggregates of ``errors``, keyed as the reports write them.
+
+        Win rates are exact fractions of the trials in which the stretched
+        method is strictly better on the given metric.  Ties count the
+        trials whose two errors agree to TIE_RTOL; they are reported apart
+        and do not change the strict win rates.
+        """
+        repetitions = len(self.errors)
+        plain, stretched = self.errors[:, :2], self.errors[:, 2:]
+        wins = np.count_nonzero(stretched < plain, axis=0).tolist()
+        tied = np.abs(plain - stretched) <= TIE_RTOL * np.maximum(plain, stretched)
+        ties = np.count_nonzero(tied, axis=0).tolist()
+        q25, q75 = np.percentile(self.errors, [25.0, 75.0], axis=0)
+        return {
+            "repetitions": repetitions,
+            # No trial is ever excluded: a fit failure fails the whole run.
+            "excluded": 0,
+            "win_rate_error1": wins[0] / repetitions,
+            "win_rate_error2": wins[1] / repetitions,
+            "ties_error1": ties[0],
+            "ties_error2": ties[1],
+            "medians": dict(zip(ERROR_COLUMNS, np.median(self.errors, axis=0).tolist())),
+            "iqrs": dict(zip(ERROR_COLUMNS, (q75 - q25).tolist())),
+        }
 
 
 def trial_rng(base_seed: int, trial_index: int) -> np.random.Generator:
@@ -240,7 +257,7 @@ def error2(fitted, truth):
 
 
 def run_monte_carlo(cfg: TrialConfig, repetitions: int) -> ExperimentReport:
-    """Repeat the trial with derived per-trial seeds and aggregate.
+    """Repeat the trial with derived per-trial seeds.
 
     Trial i always draws from the stream (cfg.seed, i).  The noise of every
     trial is drawn as one batch, and the trials are then fitted and scored
@@ -274,26 +291,7 @@ def run_monte_carlo(cfg: TrialConfig, repetitions: int) -> ExperimentReport:
         k, j = bad[0].tolist()
         raise ValueError(f"trial {k} has a non-finite {ERROR_COLUMNS[j]} ({errors[k, j]})")
 
-    plain, stretched = errors[:, :2], errors[:, 2:]
-    win_rates = [w / repetitions for w in np.count_nonzero(stretched < plain, axis=0).tolist()]
-    tied = np.abs(plain - stretched) <= TIE_RTOL * np.maximum(plain, stretched)
-    ties = np.count_nonzero(tied, axis=0).tolist()
-    q25, q75 = np.percentile(errors, [25.0, 75.0], axis=0)
-
-    return ExperimentReport(
-        config=cfg,
-        ordinates=ys,
-        errors=errors,
-        lsm=lsm,
-        transition=transition,
-        final=final,
-        win_rate_error1=win_rates[0],
-        win_rate_error2=win_rates[1],
-        ties_error1=ties[0],
-        ties_error2=ties[1],
-        medians=dict(zip(ERROR_COLUMNS, np.median(errors, axis=0).tolist())),
-        iqrs=dict(zip(ERROR_COLUMNS, (q75 - q25).tolist())),
-    )
+    return ExperimentReport(cfg, ys, errors, lsm, transition, final)
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,7 @@ def test_criterion_6_statistical_comparison():
     pooled = {"error1": [0, 0], "error2": [0, 0]}   # [stretched wins, trials]
     for token, cfg in benchmark_grid(BASE_SEED):
         rep = run_monte_carlo(cfg, repetitions)
-        m = rep.medians
+        m = rep.summary["medians"]
         row_fail = []
 
         pvalues = {}
@@ -225,7 +225,7 @@ def test_criterion_6_statistical_comparison():
         rows.append(
             f"  {token:14s} med-e1 {m['lsm_error1']:.4f}->{m['slsm_error1']:.4f} "
             f"med-e2 {m['lsm_error2']:.4f}->{m['slsm_error2']:.4f} "
-            f"win1 {rep.win_rate_error1:.2f} win2 {rep.win_rate_error2:.2f} "
+            f"win1 {rep.summary['win_rate_error1']:.2f} win2 {rep.summary['win_rate_error2']:.2f} "
             f"sign-p {pvalues['error1']:.2f}/{pvalues['error2']:.2f} "
             f"unconverged plain {plain_unconverged} stretched {stretched_unconverged}")
 

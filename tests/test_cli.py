@@ -11,7 +11,7 @@ import pytest
 import stretchfit.experiment as experiment
 from stretchfit import (ModelSpec, SingularFitError, benchmark_grid, grid_config, predict,
                         run_monte_carlo, stretched_fit_batch)
-from stretchfit.cli import _read_xy_csv, _representative_trial, main
+from stretchfit.cli import _read_xy_csv, _representative_trial, build_parser, main
 from stretchfit.experiment import trial_rng
 
 from kstools import ks_crit_two_sample, ks_two_sample
@@ -473,12 +473,12 @@ class TestExperiment:
             "repetitions": reps,
             "excluded": 0,
             "failures": [],
-            "win_rate_error1": report.win_rate_error1,
-            "win_rate_error2": report.win_rate_error2,
-            "ties_error1": report.ties_error1,
-            "ties_error2": report.ties_error2,
-            "medians": report.medians,
-            "iqrs": report.iqrs,
+            "win_rate_error1": report.summary["win_rate_error1"],
+            "win_rate_error2": report.summary["win_rate_error2"],
+            "ties_error1": report.summary["ties_error1"],
+            "ties_error2": report.summary["ties_error2"],
+            "medians": report.summary["medians"],
+            "iqrs": report.summary["iqrs"],
             "trials": trials,
         }
         assert len(trials) == reps
@@ -690,3 +690,118 @@ class TestConfigFile:
                      "--out", str(tmp_path / "t"), "--config", str(cfg)])
         assert code == 2
         assert not (tmp_path / "t").exists()
+
+    def test_config_sets_required_options(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "poly", "beta": 0.4, "eta": 30, "reps": 3}))
+        from_config, from_flags = tmp_path / "config.json", tmp_path / "flags.json"
+        assert main(["experiment", "--config", str(cfg), "--out", str(from_config)]) == 0
+        assert main(["experiment", "--model", "poly", "--beta", "0.4", "--eta", "30",
+                     "--reps", "3", "--out", str(from_flags)]) == 0
+        assert (from_config.read_text().replace(str(from_config), str(from_flags))
+                == from_flags.read_text())
+
+    def test_flag_beats_required_config_entry(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "sin", "beta": 0.4, "eta": 30, "reps": 2}))
+        out = tmp_path / "r.json"
+        assert main(["experiment", "--model", "poly", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        report = strict_json(out.read_text())
+        assert report["config"] == "poly:b0.4:e30"
+        assert report["manifest"]["config"]["model"] == "poly"
+
+    def test_null_required_entry_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": None, "beta": 0.4, "eta": 30}))
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "--config", str(cfg), "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "the following arguments are required: --model" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+def read_manifest(path):
+    """The manifest of an output file: the header line of a sample file, else its JSON."""
+    text = path.read_text()
+    if text.startswith("# manifest "):
+        return json.loads(text.splitlines()[0][len("# manifest "):])
+    return json.loads(text)["manifest"]
+
+
+def own_options(command):
+    """The option names of ``command`` that are not shared by every subcommand."""
+    actions = build_parser()[1][command]._actions
+    shared = {"help", "seed", "out", "threads", "config"}
+    return {a.dest for a in actions if a.option_strings} - shared
+
+
+@pytest.fixture
+def sinusoid_csv(tmp_path):
+    x = np.linspace(0.0, 10.0, 300)
+    y = np.sin(x) + 0.2 * np.sin(7.3 * np.arange(300))
+    path = tmp_path / "sin.csv"
+    path.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+    return path
+
+
+class TestManifestReplay:
+    """Rerunning a command from its manifest reproduces its output bit for bit."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--method", "exact", "-n", "1001", "--seed", "4"],
+        ["sample", "-n", "1000", "--beta", "0.4", "--alpha", "0.5", "-D", "0.3", "-t", "2",
+         "--seed", "5"],
+        ["fit", "--input", "{poly}", "--model", "poly2"],
+        ["fit", "--input", "{poly}", "--model", "poly2", "--method", "stretched",
+         "--beta", "0.4"],
+        ["fit", "--input", "{sin}", "--model", "sin"],
+        ["fit", "--input", "{sin}", "--model", "sin", "--method", "stretched", "--beta", "0.4"],
+        ["experiment", "--model", "poly", "--beta", "0.8", "--eta", "50", "--reps", "20",
+         "--seed", "7"],
+        ["experiment", "--model", "sin", "--beta", "0.4", "--eta", "30", "-n", "300",
+         "--reps", "3", "--xmax", "2"],
+    ], ids=["sample-exact", "sample-rejection", "fit-poly2-lsm", "fit-poly2-stretched",
+            "fit-sin-lsm", "fit-sin-stretched", "experiment-poly", "experiment-sin"])
+    def test_config_replays_to_the_same_bytes(self, tmp_path, quadratic_csv, sinusoid_csv,
+                                               argv):
+        argv = [a.format(poly=quadratic_csv, sin=sinusoid_csv) for a in argv]
+        first, second = tmp_path / "first.out", tmp_path / "second.out"
+        code = main(argv + ["--out", str(first)])
+        assert code in (0, 3)
+        manifest = read_manifest(first)
+        assert manifest["command"] == argv[0]
+        assert manifest["outputs"] == [str(first)]
+        assert set(manifest["config"]) == own_options(argv[0])
+
+        cfg = tmp_path / "manifest_config.json"
+        cfg.write_text(json.dumps(manifest["config"]))
+        assert main([argv[0], "--config", str(cfg), "--seed", str(manifest["seed"]),
+                     "--out", str(second)]) == code
+        # The output path is written once, in the manifest's outputs.
+        before, after = (json.dumps(str(path)).encode() for path in (first, second))
+        assert first.read_bytes().count(before) == 1
+        assert second.read_bytes() == first.read_bytes().replace(before, after)
+
+    def test_tables_manifest_replays_to_the_same_bytes(self, tmp_path):
+        first = tmp_path / "first"
+        assert main(["tables", "--reps", "4", "--seed", "3",
+                     "--configs", "sin:b0.8:e50,poly:b0.4:e30", "--out", str(first)]) == 0
+        manifest = strict_json((first / "manifest.json").read_text())["manifest"]
+        config = manifest["config"]
+        assert set(config) == own_options("tables") | {"out"}
+        assert config["configs"] == ["poly:b0.4:e30", "sin:b0.8:e50"]
+        assert config["out"] == str(first)
+
+        second = tmp_path / "second"
+        assert main(["tables", "--reps", str(config["reps"]), "--configs",
+                     ",".join(config["configs"]), "--seed", str(manifest["seed"]),
+                     "--out", str(second)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            expected = (first / name).read_text().replace(str(first), str(second))
+            assert (second / name).read_text() == expected, name

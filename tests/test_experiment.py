@@ -1,5 +1,6 @@
 """Noisy data generation, error metrics, trials, and the Monte Carlo loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -193,8 +194,8 @@ class TestRunMonteCarlo:
         cfg = poly_config(seed=3)
         report = run_monte_carlo(cfg, repetitions=1)
         expected = 1.0 if report.column("slsm_error2")[0] < report.column("lsm_error2")[0] else 0.0
-        assert report.win_rate_error2 == expected
-        assert report.win_rate_error1 in (0.0, 1.0)
+        assert report.summary["win_rate_error2"] == expected
+        assert report.summary["win_rate_error1"] in (0.0, 1.0)
 
     def test_win_rates_recomputable_from_trials(self):
         cfg = poly_config(seed=4)
@@ -202,18 +203,19 @@ class TestRunMonteCarlo:
         lsm_error1, lsm_error2, slsm_error1, slsm_error2 = report.errors.T.tolist()
         wins1 = sum(s < p for p, s in zip(lsm_error1, slsm_error1))
         wins2 = sum(s < p for p, s in zip(lsm_error2, slsm_error2))
-        assert report.win_rate_error1 == wins1 / len(report.errors)
-        assert report.win_rate_error2 == wins2 / len(report.errors)
+        assert report.summary["win_rate_error1"] == wins1 / len(report.errors)
+        assert report.summary["win_rate_error2"] == wins2 / len(report.errors)
 
     def test_ties_counted_apart_from_wins(self):
         # At beta = 1 the two methods coincide up to rounding: every trial
         # ties, while the strict win rates still count rounding-level gaps.
         report = run_monte_carlo(grid_config("poly", 1.0, 30.0, seed=0), repetitions=100)
-        assert report.ties_error1 == report.ties_error2 == len(report.errors) == 100
+        summary = report.summary
+        assert summary["ties_error1"] == summary["ties_error2"] == len(report.errors) == 100
         wins2 = sum(s < p for p, s in zip(report.column("lsm_error2").tolist(),
                                           report.column("slsm_error2").tolist()))
-        assert report.win_rate_error2 == wins2 / 100
-        assert run_monte_carlo(poly_config(seed=0), repetitions=20).ties_error2 == 0
+        assert summary["win_rate_error2"] == wins2 / 100
+        assert run_monte_carlo(poly_config(seed=0), repetitions=20).summary["ties_error2"] == 0
 
     @pytest.mark.parametrize("family, seed, counts", [
         ("poly", 6, (1, 7, 100, 250)),
@@ -267,16 +269,34 @@ class TestRunMonteCarlo:
         report = run_monte_carlo(cfg, repetitions=30)
         for j, name in enumerate(ERROR_COLUMNS):
             col = np.array([row[j] for row in report.errors.tolist()])
-            assert report.medians[name] == float(np.median(col))
+            assert report.summary["medians"][name] == float(np.median(col))
             q25, q75 = np.percentile(col, [25, 75])
-            assert report.iqrs[name] == float(q75 - q25)
+            assert report.summary["iqrs"][name] == float(q75 - q25)
         for metric in ("error1", "error2"):
             pairs = list(zip(report.column(f"lsm_{metric}").tolist(),
                              report.column(f"slsm_{metric}").tolist()))
             wins = sum(slsm < lsm for lsm, slsm in pairs)
             ties = sum(abs(lsm - slsm) <= TIE_RTOL * max(lsm, slsm) for lsm, slsm in pairs)
-            assert getattr(report, f"win_rate_{metric}") == wins / len(pairs)
-            assert getattr(report, f"ties_{metric}") == ties
+            assert report.summary[f"win_rate_{metric}"] == wins / len(pairs)
+            assert report.summary[f"ties_{metric}"] == ties
+
+    def test_summary_follows_replaced_errors(self):
+        # The summary is derived from the errors, so a report with other
+        # errors cannot keep the old aggregates, even once they were read.
+        report = run_monte_carlo(poly_config(seed=5), repetitions=30)
+        assert report.summary["repetitions"] == 30
+        errors = report.errors[:11, [2, 3, 0, 1]]   # the methods swapped
+        summary = dataclasses.replace(report, errors=errors).summary
+        plain, stretched = errors[:, :2], errors[:, 2:]
+        assert summary["repetitions"] == 11
+        assert summary["excluded"] == 0
+        for j, metric in enumerate(("error1", "error2")):
+            wins = int(np.count_nonzero(stretched[:, j] < plain[:, j]))
+            assert summary[f"win_rate_{metric}"] == wins / 11
+        for j, name in enumerate(ERROR_COLUMNS):
+            assert summary["medians"][name] == float(np.median(errors[:, j]))
+            q25, q75 = np.percentile(errors[:, j], [25, 75])
+            assert summary["iqrs"][name] == float(q75 - q25)
 
     def test_fit_failure_propagates(self, monkeypatch):
         def singular(*args, **kwargs):
@@ -290,8 +310,8 @@ class TestRunMonteCarlo:
         cfg = grid_config("poly", 1.0, 0.0, seed=10)
         a = run_monte_carlo(cfg, repetitions=5)
         b = run_monte_carlo(cfg, repetitions=5)
-        assert a.win_rate_error1 == b.win_rate_error1
-        assert a.win_rate_error2 == b.win_rate_error2
+        assert a.summary["win_rate_error1"] == b.summary["win_rate_error1"]
+        assert a.summary["win_rate_error2"] == b.summary["win_rate_error2"]
 
     def test_bad_repetitions_rejected(self):
         with pytest.raises(ValueError):
