@@ -41,7 +41,6 @@ from .lsq import (
     FitBatch,
     ModelSpec,
     SingularFitError,
-    canonicalize_sinusoid,
     fit_batch,
     fit_linear,
     fit_sinusoid,
@@ -69,7 +68,6 @@ __all__ = [
     "FitBatch",
     "ModelSpec",
     "SingularFitError",
-    "canonicalize_sinusoid",
     "fit_batch",
     "fit_linear",
     "fit_sinusoid",

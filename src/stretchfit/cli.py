@@ -267,12 +267,12 @@ def _table_rows(report: ExperimentReport, k: int) -> tuple[list[str], list[list]
 def cmd_tables(args) -> int:
     outdir = Path(args.out or "tables")
     grid = benchmark_grid(args.seed)
-    if args.configs:
+    if args.configs is not None:
         wanted = set(args.configs.split(","))
         known = {token for token, _ in grid}
         unknown = wanted - known
         if unknown:
-            raise ValueError(f"unknown configs: {sorted(unknown)}; known: {sorted(known)}")
+            raise ValueError(f"unknown --configs {sorted(unknown)}; known: {sorted(known)}")
         grid = [(token, cfg) for token, cfg in grid if token in wanted]
 
     outputs: list[str] = []
@@ -392,6 +392,8 @@ def _apply_config(path: str, command: argparse.ArgumentParser) -> None:
 
     Flags given explicitly still win; a non-null entry satisfies a required option.
     """
+    if not path:
+        raise ValueError("--config needs a file path, got ''")
     try:
         entries = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -435,7 +437,7 @@ def main(argv=None) -> int:
     except argparse.ArgumentError:
         found = None
     try:
-        if getattr(found, "config", None):
+        if getattr(found, "config", None) is not None:
             # Config entries go into a parser of this call's own, not into
             # the shared one.
             parser, commands = build_parser()

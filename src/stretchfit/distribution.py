@@ -64,6 +64,10 @@ class StretchedGaussian:
             raise ValueError(f"diffusivity must be positive, got {self.diffusivity}")
         if not (self.time > 0.0) or not math.isfinite(self.time):
             raise ValueError(f"time must be positive, got {self.time}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale 4 * D * t**alpha must lie in (0, inf), got {self.scale}")
+        if not math.isfinite(self.gamma_shape):
+            raise ValueError(f"gamma_shape 1/(2*beta) must be finite, got {self.gamma_shape}")
 
     @property
     def scale(self) -> float:

@@ -178,24 +178,6 @@ def fit_linear(degree: int, x: np.ndarray, ys: np.ndarray) -> FitBatch:
     return FitBatch(model, params, sse, (0,) * len(ys), (CLOSED_FORM,) * len(ys))
 
 
-def canonicalize_sinusoid(params) -> np.ndarray:
-    """Resolve the sign symmetries of a*sin(b*x + c) + d: b >= 0, a > 0, c in (-pi, pi].
-
-    (a, b, c, d) with b < 0 is the curve (a, -b, pi - c, d), and
-    (a, b, c, d) the curve (-a, b, c + pi, d).
-    """
-    a, b, c, d = (float(v) for v in np.asarray(params, dtype=float))
-    if b < 0.0:
-        b, c = -b, math.pi - c
-    if a < 0.0:
-        a, c = -a, c + math.pi
-    c = (c + math.pi) % (2.0 * math.pi) - math.pi
-    if c <= -math.pi:
-        # The modulo lands on the open boundary only when c + pi divides 2*pi.
-        c += 2.0 * math.pi
-    return np.array([a, b, c, d])
-
-
 def _frequency_grid(x: np.ndarray) -> np.ndarray:
     """The profile scan's frequencies; the first and last are the search domain's ends.
 
@@ -274,12 +256,13 @@ def _grid_profiles(x: np.ndarray, ycs: list[np.ndarray], tss: list[float]) -> li
 
 
 def _linear_at(b: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact least squares at a fixed frequency: (a, b, c, d) and its SSE."""
+    """Exact least squares at a fixed frequency b > 0: canonical (a, b, c, d) and its SSE."""
     design = np.column_stack([np.sin(b * x), np.cos(b * x), np.ones_like(x)])
     (amp_s, amp_c, d), *_ = np.linalg.lstsq(design, y, rcond=None)
     r = design @ np.array([amp_s, amp_c, d]) - y
-    # amp_s sin(bx) + amp_c cos(bx) = a sin(bx + c) with a cos c = amp_s, a sin c = amp_c.
-    params = np.array([math.hypot(amp_s, amp_c), b, math.atan2(amp_c, amp_s), d])
+    # amp_s sin(bx) + amp_c cos(bx) = a sin(bx + c) with a >= 0, a cos c = amp_s, a sin c = amp_c;
+    # + 0.0 turns amp_c = -0.0 into +0.0, so c = atan2 lies in (-pi, pi], never at -pi.
+    params = np.array([math.hypot(amp_s, amp_c), b, math.atan2(amp_c + 0.0, amp_s), d])
     return params, float(r @ r)
 
 
@@ -360,9 +343,9 @@ def fit_sinusoid(x: np.ndarray, ys: np.ndarray) -> FitBatch:
     a quadratic) is the exact linear fit there, flagged by stop reason
     BOUNDARY.  Data faster than the domain's upper end are not always
     flagged: a whole number of periods above 8 fits a side lobe inside the
-    domain, with stop reason TOLERANCE.  The parameters are canonicalized to
-    b >= 0, a > 0, c in (-pi, pi].  Data so large that the fit overflows
-    raise ValueError.
+    domain, with stop reason TOLERANCE.  The parameters come out canonical
+    from the exact solve: b > 0, a >= 0 and c in (-pi, pi].  Data so large
+    that the fit overflows raise ValueError.
     """
     model = ModelSpec.sinusoid()
     if x.size < model.n_params:
@@ -380,15 +363,14 @@ def fit_sinusoid(x: np.ndarray, ys: np.ndarray) -> FitBatch:
                 lo, hi = bs[max(k - 1, 0)], bs[min(k + 1, bs.size - 1)]
                 b, iterations[i] = _newton_minimize(float(bs[k]), float(lo), float(hi),
                                                     u, ycs[i], tss[i])
-                row, sse[i] = _linear_at(b, x, ys[i])
+                params[i], sse[i] = _linear_at(b, x, ys[i])
                 # A bracket that touches an end of the domain keeps the end if it fits no worse.
                 for edge in (lo, hi):
                     if edge in (bs[0], bs[-1]):
                         edge_row, edge_sse = _linear_at(edge, x, ys[i])
                         if edge_sse <= sse[i]:
-                            row, sse[i], reasons[i] = edge_row, edge_sse, BOUNDARY
+                            params[i], sse[i], reasons[i] = edge_row, edge_sse, BOUNDARY
                             break
-                params[i] = canonicalize_sinusoid(row)
     except FloatingPointError as exc:
         raise ValueError(f"sinusoid fit overflows ({exc}): the data are too large") from exc
     return FitBatch(model, params, sse, tuple(iterations.tolist()), tuple(reasons))

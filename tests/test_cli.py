@@ -82,21 +82,34 @@ class TestSample:
         assert code == 2
         assert "beta" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [
-        ["sample", "--beta", "0.001", "-n", "5"],
-        ["sample", "--method", "exact", "--beta", "0.001", "-n", "5"],
-        ["experiment", "--model", "poly", "--beta", "0.001", "--eta", "30"],
-    ], ids=["rejection", "exact", "experiment"])
-    def test_overflowing_variates_are_usage_error(self, tmp_path, capsys, command):
-        # At beta 0.001 the variates (c g)**(1 / (2 beta)) of Gamma draws g overflow.
+    @pytest.mark.parametrize("command, message", [
+        (["sample", "--beta", "0.001", "-n", "5"], r"variates overflow \(.*beta = 0\.001 "),
+        (["sample", "--method", "exact", "--beta", "0.001", "-n", "5"],
+         r"variates overflow \(.*beta = 0\.001 "),
+        (["experiment", "--model", "poly", "--beta", "0.001", "--eta", "30"],
+         r"variates overflow \(.*beta = 0\.001 "),
+        (["sample", "-n", "4", "-D", "1e308", "-t", "10"], r"scale .* got inf$"),
+        (["sample", "-D", "1e300", "-t", "1e300", "--beta", "0.1", "-n", "4"],
+         r"scale .* got inf$"),
+        (["sample", "--method", "exact", "-D", "1e300", "-t", "1e300", "--beta", "0.1",
+          "-n", "4"], r"scale .* got inf$"),
+        (["sample", "-n", "4", "-D", "5e-324", "-t", "1e-300"], r"scale .* got 0\.0$"),
+        (["sample", "-n", "4", "--beta", "1e-320"], r"gamma_shape .* got inf$"),
+        (["experiment", "--model", "poly", "--beta", "1e-320", "--eta", "30", "--reps", "2"],
+         r"gamma_shape .* got inf$"),
+    ], ids=["rejection", "exact", "experiment", "scale", "scale-large-time",
+            "scale-large-time-exact", "scale-underflow", "gamma-shape", "gamma-shape-experiment"])
+    def test_overflowing_variates_are_usage_error(self, tmp_path, capsys, command, message):
+        # At beta 0.001 the variates (c g)**(1 / (2 beta)) of Gamma draws g
+        # overflow.  A law whose scale 4 D t**alpha or Gamma shape 1 / (2 beta)
+        # is not a positive finite number is refused before any draw.
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main([*command, "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("stretchfit: error: variates overflow (")
-        assert "beta = 0.001" in err
+        assert re.match("stretchfit: error: " + message, err.rstrip("\n")), err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
@@ -606,10 +619,18 @@ class TestTables:
         ranked = sorted(range(101), key=report.errors[:, 3].tolist().__getitem__)
         assert _representative_trial(report) == ranked[50]
 
-    def test_unknown_config_rejected(self, tmp_path, capsys):
-        code = main(["tables", "--configs", "poly:b0.9:e30", "--out", str(tmp_path / "t")])
+    @pytest.mark.parametrize("argv, message", [
+        (["tables", "--configs", "poly:b0.9:e30"], "unknown --configs ['poly:b0.9:e30']"),
+        (["tables", "--configs", "", "--reps", "2"], "unknown --configs ['']"),
+        (["sample", "-n", "3", "--config="], "--config needs a file path"),
+    ], ids=["unknown", "empty-configs", "empty-config-path"])
+    def test_unknown_config_rejected(self, tmp_path, capsys, argv, message):
+        # An empty value is an error, not the option's absence.
+        out = tmp_path / "t"
+        code = main([*argv, "--out", str(out)])
         assert code == 2
-        assert "unknown configs" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         outdir = tmp_path / "run"

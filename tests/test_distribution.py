@@ -93,6 +93,11 @@ class TestConstruction:
         dict(alpha=1.0, beta=1.0, diffusivity=-1.0, time=1.0),
         dict(alpha=1.0, beta=1.0, diffusivity=0.25, time=0.0),
         dict(alpha=1.0, beta=1.0, diffusivity=0.25, time=float("nan")),
+        # The derived scale 4 D t**alpha overflows or underflows, or 1 / (2 beta) overflows.
+        dict(alpha=1.0, beta=1.0, diffusivity=1e308, time=10.0),
+        dict(alpha=1.0, beta=0.1, diffusivity=1e300, time=1e300),
+        dict(alpha=1.0, beta=1.0, diffusivity=5e-324, time=1e-300),
+        dict(alpha=1.0, beta=1e-320, diffusivity=0.25, time=1.0),
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -11,9 +11,9 @@ import stretchfit.lsq as lsq
 from stretchfit import (
     ModelSpec,
     SingularFitError,
-    canonicalize_sinusoid,
     fit_batch,
     predict,
+    stretched_fit_batch,
 )
 
 
@@ -212,17 +212,33 @@ class TestFitNonlinear:
         assert a > 0.0
         assert -math.pi < c <= math.pi
 
-    def test_canonicalize_preserves_curve(self):
-        rng = np.random.default_rng(19)
-        x = rng.uniform(-4.0, 4.0, 80)
-        for i in range(40):
-            p = rng.uniform(-3.0, 3.0, 4)
-            p[1] = -abs(p[1]) if i % 2 else abs(p[1])
-            q = canonicalize_sinusoid(p)
-            assert q[0] >= 0.0
-            assert q[1] == abs(p[1])
-            assert -math.pi < q[2] <= math.pi
-            np.testing.assert_allclose(sin_curve(p, x), sin_curve(q, x), atol=1e-10)
+    def test_parameter_contract_on_every_stage(self):
+        # Truths of either sign, every phase and frequencies from far below
+        # the search domain to above it, so that each stage has boundary rows.
+        rng = np.random.default_rng(29)
+        x = np.linspace(0.0, 1.0, 200)
+        truths = np.column_stack([rng.uniform(-2.0, 2.0, 60), np.geomspace(0.1, 40.0, 60),
+                                  rng.uniform(-math.pi, math.pi, 60), rng.uniform(-1.0, 1.0, 60)])
+        ys = predict(ModelSpec.sinusoid(), truths, x) + rng.normal(0.0, 0.3, (60, x.size))
+        plain = fit_batch(ModelSpec.sinusoid(), x, ys)
+        stages = (plain, *stretched_fit_batch(ModelSpec.sinusoid(), x, ys, 0.4))
+        assert np.any(truths[:, 0] < 0.0)
+        for stage in stages:
+            assert lsq.BOUNDARY in stage.stop_reasons
+            a, b, c, _ = stage.params.T
+            assert np.all(b > 0.0) and np.all(a >= 0.0)
+            assert np.all((-math.pi < c) & (c <= math.pi))
+
+    def test_negative_zero_cosine_amplitude_gives_phase_pi(self, monkeypatch):
+        # atan2(-0.0, -1.0) is -pi, outside (-pi, pi]; the fit must report pi.
+        def lstsq(design, y, rcond=None):
+            return np.array([-1.0, -0.0, 0.0]), np.empty(0), 3, np.ones(3)
+        monkeypatch.setattr(lsq.np.linalg, "lstsq", lstsq)
+        x = np.linspace(0.0, 1.0, 50)
+        result = fit_batch(ModelSpec.sinusoid(), x, -np.sin(x)[None])
+        a, b, c, d = result.params[0]
+        assert (a, c, d) == (1.0, math.pi, 0.0)
+        assert b > 0.0
 
     def test_gradient_small_at_solution(self):
         rng = np.random.default_rng(23)
