@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
+import os
+import re
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -143,24 +147,74 @@ def _first_bad_line(lines: list[str], start: int) -> tuple[int, str]:
     return lo + 1, _problem(lines[lo:hi])
 
 
-def _read_xy_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """Columns 0 and 1 of a comma-separated file; see README *Fit input*."""
+# np.loadtxt opens a str path through np.lib._datasource, which decompresses
+# names with these suffixes instead of reading the file as written.
+_DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+# An ASCII blank that starts the file (after a BOM) or a line.
+_BLANKS = b" \t\v\f"
+_FIRST_LINE_BLANK = re.compile(rb"(?:\xef\xbb\xbf)?[" + _BLANKS + rb"]")
+_LINE_BLANK = re.compile(rb"\n[" + _BLANKS + rb"]")
+
+
+def _text(data: bytes) -> io.TextIOWrapper:
+    """``data`` as ``open(path, encoding="utf-8-sig")`` reads it: BOM dropped, newlines unified."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+
+
+def _blank_led_line(data: bytes) -> bool:
+    """Whether a line of ``data`` starts with an ASCII blank.
+
+    numpy's reader rejects whitespace-only and indented comment lines, which
+    only the line reader accepts.
+    """
+    # Blank-free files, the common case, are settled by one memchr per blank.
+    return (any(blank in data for blank in _BLANKS)
+            and bool(_FIRST_LINE_BLANK.match(data) or _LINE_BLANK.search(data)))
+
+
+def _parse_by_lines(data: bytes, header: int, path: Path) -> np.ndarray:
+    """The rows of ``data`` read line by line; ValueError naming the first bad line."""
+    lines = _text(data)
+    if header:
+        lines.readline()
     try:
-        with open(path, encoding="utf-8") as f, warnings.catch_warnings():
+        xy = _xy_rows(lines)
+    except ValueError:
+        xy = None
+    if xy is None or not np.isfinite(xy).all():
+        # Error path only: parse the lines again to name the bad one.
+        line, problem = _first_bad_line(_text(data).readlines(), header)
+        raise ValueError(f"{path}:{line}: {problem}")
+    return xy
+
+
+def _read_xy_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Columns 0 and 1 of a comma-separated file; see README *Fit input*.
+
+    numpy reads a plain regular file by its path, in large chunks; every
+    other input, and a file that numpy rejects, is read line by line.
+    """
+    try:
+        with open(path, "rb") as f:
+            # numpy reopens the file by its path, which gives these bytes
+            # again only for a regular file; a pipe's are already read.
+            regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+            data = f.read()
+        with warnings.catch_warnings():
             # An empty file (or line) is reported below, not as a warning.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            header = f.readline().strip().split(",")[:2] == ["x", "y"]
-            if not header:
-                f.seek(0)
-            try:
-                xy = _xy_rows(f)
-            except ValueError:
-                xy = None
+            header = int(_text(data).readline().strip().split(",")[:2] == ["x", "y"])
+            xy = None
+            if (regular and path.suffix not in _DECOMPRESSED_SUFFIXES
+                    and not _blank_led_line(data)):
+                try:
+                    xy = np.loadtxt(os.path.abspath(path), delimiter=",", comments="#",
+                                    usecols=(0, 1), ndmin=2, skiprows=header,
+                                    encoding="utf-8-sig")
+                except ValueError:
+                    pass
             if xy is None or not np.isfinite(xy).all():
-                # Error path only: parse the file again to name the bad line.
-                f.seek(0)
-                line, problem = _first_bad_line(f.readlines(), int(header))
-                raise ValueError(f"{path}:{line}: {problem}")
+                xy = _parse_by_lines(data, header, path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     if not xy.size:

@@ -2,12 +2,17 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stretchfit.cli as cli
 import stretchfit.experiment as experiment
 from stretchfit import (ModelSpec, SingularFitError, benchmark_grid, grid_config, predict,
                         run_monte_carlo, stretched_fit_batch)
@@ -304,8 +309,10 @@ class TestFitInput:
         ("x,y,w\n0,1,a\n1,3\n2,5,6,7\n", [0.0, 1.0, 2.0], [1.0, 3.0, 5.0]),
         ("  0 , 1 \n1,3", [0.0, 1.0], [1.0, 3.0]),
         ("x,y\n2.5,7\n", [2.5], [7.0]),
+        ("\ufeffx,y\n0,1\n1,3\n", [0.0, 1.0], [1.0, 3.0]),
+        ("\ufeff0,1\n1,3\n", [0.0, 1.0], [1.0, 3.0]),
     ], ids=["header", "blank-lines", "comments", "crlf", "extra-columns", "padded-cells",
-            "single-row"])
+            "single-row", "bom", "bom-no-header"])
     def test_accepted_layouts(self, tmp_path, text, x, y):
         path = tmp_path / "in.csv"
         path.write_bytes(text.encode())
@@ -355,6 +362,74 @@ class TestFitInput:
         assert main(["fit", "--input", str(path), "--model", "poly0",
                      "--out", str(tmp_path / "f.json")]) == 2
         assert f"{path}:2902: non-finite cell" in capsys.readouterr().err
+
+    def test_long_file_parses_bit_equal_on_either_route(self, tmp_path, monkeypatch):
+        # More rows than numpy reads in one chunk, none of them through the line reader.
+        rng = np.random.default_rng(5)
+        x = np.sort(rng.uniform(-1e3, 1e3, 120_000))
+        y = rng.standard_normal(x.size) * 10.0 ** rng.integers(-300, 300, x.size)
+        rows = [f"{a!r},{b!r}" for a, b in zip(x.tolist(), y.tolist())]
+        path = tmp_path / "long.csv"
+        path.write_text("x,y\n" + "\n".join(rows) + "\n")
+        want = [np.array([float(cell) for cell in column])
+                for column in zip(*(row.split(",") for row in rows))]
+
+        def line_reader(lines):
+            raise AssertionError("the line reader parsed a plain file")
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_xy_rows", line_reader)
+            got = _read_xy_csv(path)
+        for column, expected in zip(got, want):
+            assert column.tobytes() == expected.tobytes()
+
+        # Blank-led lines send the file to the line reader alone: numpy is
+        # never asked to read it by path first.
+        rows[100_000:100_000] = ["  \t", "   # indented comment"]
+        path.write_text("x,y\n" + "\n".join(rows) + "\n")
+        sources = []
+        loadtxt = np.loadtxt
+
+        def recording_loadtxt(source, *args, **kwargs):
+            sources.append(type(source))
+            return loadtxt(source, *args, **kwargs)
+        monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
+        got = _read_xy_csv(path)
+        assert sources == [map]
+        for column, expected in zip(got, want):
+            assert column.tobytes() == expected.tobytes()
+
+    def test_compressed_suffix_is_read_as_written(self, tmp_path):
+        path = tmp_path / "data.csv.gz"
+        path.write_text("x,y\n0,1\n1,3\n")
+        got_x, got_y = _read_xy_csv(path)
+        assert got_x.tolist() == [0.0, 1.0]
+        assert got_y.tolist() == [1.0, 3.0]
+
+    @pytest.mark.parametrize("header", ["x,y\n", ""], ids=["header", "no-header"])
+    def test_piped_input(self, tmp_path, header):
+        rows = "".join(f"{i},{2 * i + 1 + 0.25 * (-1) ** i}\n" for i in range(6))
+        path = tmp_path / "in.csv"
+        path.write_text(header + rows)
+        assert main(["fit", "--input", str(path), "--model", "poly1",
+                     "--out", str(tmp_path / "file.json")]) == 0
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        command = [sys.executable, "-m", "stretchfit.cli", "fit", "--input", "/dev/stdin",
+                   "--model", "poly1"]
+        piped = subprocess.run(command + ["--out", str(tmp_path / "pipe.json")],
+                               input=header + rows, capture_output=True, text=True,
+                               env=env, timeout=120)
+        assert piped.returncode == 0, piped.stderr
+        params = [json.loads((tmp_path / name).read_text())["params"]
+                  for name in ("file.json", "pipe.json")]
+        assert params[0] == params[1]
+
+        # A bad line of a pipe is named as in a file.
+        text = header + rows + "6,x\n"
+        piped = subprocess.run(command + ["--out", str(tmp_path / "bad.json")],
+                               input=text, capture_output=True, text=True, env=env, timeout=120)
+        assert piped.returncode == 2
+        assert f"/dev/stdin:{len(text.splitlines())}: non-numeric cell" in piped.stderr
 
     def test_undecodable_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
