@@ -25,6 +25,7 @@ from . import __version__
 from .distribution import SamplerFailureError, StretchedGaussian, sample_exact, sample_rejection
 from .experiment import (
     ERROR_COLUMNS,
+    TRUTHS,
     ExperimentReport,
     benchmark_grid,
     config_token,
@@ -308,8 +309,7 @@ def _representative_trial(report: ExperimentReport) -> int:
 
 def _table_rows(report: ExperimentReport, k: int) -> tuple[list[str], list[list]]:
     cfg = report.config
-    sin = cfg.truth_model.family == "sinusoid"
-    header = ["method", "a", "b", "c"] + (["d"] if sin else []) + ["error1", "error2"]
+    header = ["method", *"abcd"[:cfg.truth_model.n_params], "error1", "error2"]
     e1, e2, s1, s2 = report.errors[k].tolist()
     return header, [
         ["f", *cfg.truth_params.tolist(), 0.0, 0.0],
@@ -408,7 +408,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("experiment", parents=[common],
                        help="seeded Monte Carlo for one benchmark configuration")
-    p.add_argument("--model", choices=("poly", "sin"), required=True)
+    p.add_argument("--model", choices=tuple(TRUTHS), required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--reps", type=int, default=100)

@@ -12,6 +12,7 @@ keeps the batch's columns: trial k of a run is row k of each.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +52,9 @@ class TrialConfig:
                 f"n = {self.n} is below the model's parameter count "
                 f"{self.truth_model.n_params}"
             )
+        most = np.iinfo(np.intp).max // 8
+        if self.n > most:
+            raise ValueError(f"n = {self.n} is above {most}, the most doubles one array holds")
         if not (0.0 <= self.eta < math.inf):
             raise ValueError(f"eta must be finite and nonnegative, got {self.eta}")
         if not (0.0 < self.beta <= 1.0):
@@ -125,39 +129,14 @@ def trial_rng(base_seed: int, trial_index: int) -> np.random.Generator:
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq on a 4-word pool), which
-# trial_rngs runs on uint32 arrays with one column per trial.
+# trial_rngs runs on uint32 arrays with one column per trial.  Hash step k
+# xors with constant k of its column and multiplies by constant k + 1:
+# INIT * MULT**k mod 2**32, for INIT_A/MULT_A and INIT_B/MULT_B.
 _POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_HASH_A = np.cumprod([0x43B0D7E5] + [0x931E8875] * _POOL_SIZE**2, dtype=np.uint32)[:, None]
+_HASH_B = np.cumprod([0x8B51F9DD] + [0x58F38DED] * 2 * _POOL_SIZE, dtype=np.uint32)[:, None]
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
-
-
-def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
-    """init * mult**k mod 2**32 for k = 0, ..., steps, as a column.
-
-    Hash step k xors with constant k and multiplies by constant k + 1.
-    """
-    consts = [init]
-    for _ in range(steps):
-        consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    return np.array(consts, np.uint32)[:, None]
-
-
-def _pool_steps(consts: np.ndarray, src: int) -> tuple[np.ndarray, np.ndarray]:
-    """Constants of the steps that hash pool word ``src`` into each other word.
-
-    These are steps 4 + 3 src, 4 + 3 src + 1 and 4 + 3 src + 2, in the order
-    of the other words; word ``src`` gets a placeholder, as it is not mixed.
-    """
-    steps = [_POOL_SIZE + (_POOL_SIZE - 1) * src + j for j in range(_POOL_SIZE - 1)]
-    steps.insert(src, steps[0])
-    return consts[steps], consts[[k + 1 for k in steps]]
-
-
-_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE**2)
-_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-_POOL_STEPS = [_pool_steps(_HASH_A, src) for src in range(_POOL_SIZE)]
 
 
 def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -166,7 +145,11 @@ def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray
 
 
 def _seed_states(base_seed: int, count: int) -> np.ndarray:
-    """Row i is ``SeedSequence([base_seed, i]).generate_state(4, np.uint64)``, for i < count."""
+    """Row i is ``SeedSequence([base_seed, i]).generate_state(4, np.uint64)``, for i < count.
+
+    The steps mirror ``SeedSequence.mix_entropy`` and ``generate_state`` in
+    numpy's ``numpy/random/bit_generator.pyx``, one column per trial.
+    """
     seed = int(base_seed)
     index = np.arange(count, dtype=np.uint64)
     # numpy splits the seed into 32-bit words, low first: one word below
@@ -179,11 +162,13 @@ def _seed_states(base_seed: int, count: int) -> np.ndarray:
     entropy[len(seed_words) + 1] = index >> np.uint64(32)
 
     pool = _hashmix(entropy, _HASH_A[:_POOL_SIZE], _HASH_A[1:_POOL_SIZE + 1])
-    for src, (xor, mult) in enumerate(_POOL_STEPS):
-        mixed = pool * _MIX_MULT_L - _hashmix(pool[src], xor, mult) * _MIX_MULT_R
-        mixed ^= mixed >> _XSHIFT
-        mixed[src] = pool[src]
-        pool = mixed
+    # Hash steps 4 + 3 src, ..., 6 + 3 src mix word src into the other words.
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        k = _POOL_SIZE + (_POOL_SIZE - 1) * src
+        mixed = pool[dst] * _MIX_MULT_L - _hashmix(
+            pool[src], _HASH_A[k:k + 3], _HASH_A[k + 1:k + 4]) * _MIX_MULT_R
+        pool[dst] = mixed ^ mixed >> _XSHIFT
     # generate_state(4, np.uint64): eight words cycled from the pool, paired
     # into little-endian uint64s.
     state = _hashmix(np.concatenate((pool, pool)), _HASH_B[:-1], _HASH_B[1:])
@@ -231,29 +216,22 @@ def _add_noise(cfg: TrialConfig, y: np.ndarray, rngs: list[np.random.Generator])
     return np.tile(y, (len(rngs), 1))
 
 
-def error1(fitted, truth):
-    """Maximum absolute pointwise gap between fitted and true values on a grid.
-
-    ``fitted`` holds one row of values per fit, or one fit's values; each
-    row gives one error.
-    """
+def _gaps(fitted, truth) -> np.ndarray:
+    """``fitted`` minus ``truth``: one row of values per fit, or one fit's values."""
     truth = np.asarray(truth, dtype=float)
     if truth.size == 0:
         raise ValueError("error metrics need at least one evaluation point")
-    return np.max(np.abs(np.asarray(fitted) - truth), axis=-1)
+    return np.asarray(fitted) - truth
+
+
+def error1(fitted, truth):
+    """Maximum absolute pointwise gap between fitted and true values on a grid, per row."""
+    return np.max(np.abs(_gaps(fitted, truth)), axis=-1)
 
 
 def error2(fitted, truth):
-    """Root mean square pointwise gap between fitted and true values on a grid.
-
-    ``fitted`` holds one row of values per fit, or one fit's values; each
-    row gives one error.
-    """
-    truth = np.asarray(truth, dtype=float)
-    if truth.size == 0:
-        raise ValueError("error metrics need at least one evaluation point")
-    diff = np.asarray(fitted) - truth
-    return np.sqrt(np.mean(diff**2, axis=-1))
+    """Root mean square pointwise gap between fitted and true values on a grid, per row."""
+    return np.sqrt(np.mean(_gaps(fitted, truth)**2, axis=-1))
 
 
 def run_monte_carlo(cfg: TrialConfig, repetitions: int) -> ExperimentReport:
@@ -298,12 +276,13 @@ def run_monte_carlo(cfg: TrialConfig, repetitions: int) -> ExperimentReport:
 # The 8-configuration benchmark grid
 # ---------------------------------------------------------------------------
 
-POLY_TRUTH_PARAMS = (1.0, 1.0, 2.0)       # x**2 + x + 2
-SIN_TRUTH_PARAMS = (1.0, 1.0, 0.0, 0.0)   # sin(x)
-
+# The truth of each family: x**2 + x + 2 and sin(x).
+TRUTHS = {
+    "poly": (ModelSpec.polynomial(2), (1.0, 1.0, 2.0)),
+    "sin": (ModelSpec.sinusoid(), (1.0, 1.0, 0.0, 0.0)),
+}
 GRID_BETAS = (0.4, 0.8)
 GRID_ETAS = (30.0, 50.0)
-GRID_FAMILIES = ("poly", "sin")
 
 
 def config_token(family: str, beta: float, eta: float) -> str:
@@ -313,35 +292,19 @@ def config_token(family: str, beta: float, eta: float) -> str:
 def grid_config(family: str, beta: float, eta: float, seed: int,
                 n: int = 200, x_domain: tuple[float, float] = (0.0, 1.0)) -> TrialConfig:
     """One benchmark configuration with the default noise law (c = 1)."""
-    if family == "poly":
-        truth_model = ModelSpec.polynomial(2)
-        truth_params = POLY_TRUTH_PARAMS
-    elif family == "sin":
-        truth_model = ModelSpec.sinusoid()
-        truth_params = SIN_TRUTH_PARAMS
-    else:
+    if family not in TRUTHS:
         raise ValueError(f"unknown benchmark family {family!r}")
+    truth_model, truth_params = TRUTHS[family]
     law = StretchedGaussian(alpha=1.0, beta=beta, diffusivity=0.25, time=1.0)
-    return TrialConfig(
-        truth_model=truth_model,
-        truth_params=np.asarray(truth_params),
-        noise_law=law,
-        eta=eta,
-        beta=beta,
-        seed=seed,
-        n=n,
-        x_domain=x_domain,
-    )
+    return TrialConfig(truth_model, truth_params, law, eta=eta, beta=beta, seed=seed, n=n,
+                       x_domain=x_domain)
 
 
 def benchmark_grid(base_seed: int) -> list[tuple[str, TrialConfig]]:
-    """All 8 (family, beta, eta) combinations; config k gets seed base + k."""
-    out = []
-    index = 0
-    for family in GRID_FAMILIES:
-        for eta in GRID_ETAS:
-            for beta in GRID_BETAS:
-                cfg = grid_config(family, beta, eta, seed=base_seed + index)
-                out.append((config_token(family, beta, eta), cfg))
-                index += 1
-    return out
+    """All 8 (family, eta, beta) combinations, in that nesting; config k gets seed base + k."""
+    grid = list(itertools.product(TRUTHS, GRID_ETAS, GRID_BETAS))
+    if base_seed + len(grid) - 1 >= 2**64:
+        raise ValueError(f"seed must be at most 2**64 - {len(grid)}, as configuration k "
+                         "of the grid uses seed + k")
+    return [(config_token(family, beta, eta), grid_config(family, beta, eta, base_seed + k))
+            for k, (family, eta, beta) in enumerate(grid)]

@@ -117,21 +117,27 @@ class TestSample:
         assert re.match("stretchfit: error: " + message, err.rstrip("\n")), err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [
-        ["sample", "-n", "1000000000000000000"],
-        ["experiment", "--model", "poly", "--beta", "0.4", "--eta", "30",
-         "-n", "1000000000000000000"],
-        ["experiment", "--model", "poly", "--beta", "0.4", "--eta", "30",
-         "--reps", "1000000000000000000"],
-    ], ids=["sample", "experiment", "reps"])
-    def test_unallocatable_size_is_usage_error(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, message", [
+        (["sample", "-n", "1000000000000000000"], "Unable to allocate"),
+        (["experiment", "--model", "poly", "--beta", "0.4", "--eta", "30",
+          "-n", "1000000000000000000"], "Unable to allocate"),
+        (["experiment", "--model", "poly", "--beta", "0.4", "--eta", "30",
+          "--reps", "1000000000000000000"], "Unable to allocate"),
+        # np.linspace fails with an IndexError near 2**63 points, so such an
+        # n is refused before the abscissas are built.
+        (["experiment", "--model", "poly", "--beta", "0.4", "--eta", "30",
+          "-n", "9223372036854775807"], "n = 9223372036854775807 is above "),
+        (["experiment", "--model", "sin", "--beta", "0.4", "--eta", "30",
+          "-n", "9223372036854775808"], "n = 9223372036854775808 is above "),
+    ], ids=["sample", "experiment", "reps", "n-2**63-1", "n-2**63"])
+    def test_unallocatable_size_is_usage_error(self, tmp_path, capsys, command, message):
         # numpy refuses an array of 10**18 8-byte entries before allocating
         # anything, and no loop over samples or trials runs before that.
         out = tmp_path / "out"
         code = main([*command, "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("stretchfit: error: Unable to allocate")
+        assert err.startswith(f"stretchfit: error: {message}")
         assert "Traceback" not in err
         assert not out.exists()
 

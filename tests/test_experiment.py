@@ -355,3 +355,28 @@ class TestBenchmarkGrid:
             assert family in ("poly", "sin")
             assert math.isclose(float(b[1:]), cfg.beta)
             assert math.isclose(float(e[1:]), cfg.eta)
+
+    def test_grid_by_value(self):
+        quadratic, sinusoid = lsq.ModelSpec.polynomial(2), lsq.ModelSpec.sinusoid()
+        poly, sin = (1.0, 1.0, 2.0), (1.0, 1.0, 0.0, 0.0)
+        expected = [
+            ("poly:b0.4:e30", quadratic, poly, 0.4, 0.4, 30.0, 7, 200, (0.0, 1.0)),
+            ("poly:b0.8:e30", quadratic, poly, 0.8, 0.8, 30.0, 8, 200, (0.0, 1.0)),
+            ("poly:b0.4:e50", quadratic, poly, 0.4, 0.4, 50.0, 9, 200, (0.0, 1.0)),
+            ("poly:b0.8:e50", quadratic, poly, 0.8, 0.8, 50.0, 10, 200, (0.0, 1.0)),
+            ("sin:b0.4:e30", sinusoid, sin, 0.4, 0.4, 30.0, 11, 200, (0.0, 1.0)),
+            ("sin:b0.8:e30", sinusoid, sin, 0.8, 0.8, 30.0, 12, 200, (0.0, 1.0)),
+            ("sin:b0.4:e50", sinusoid, sin, 0.4, 0.4, 50.0, 13, 200, (0.0, 1.0)),
+            ("sin:b0.8:e50", sinusoid, sin, 0.8, 0.8, 50.0, 14, 200, (0.0, 1.0)),
+        ]
+        actual = [(token, cfg.truth_model, tuple(cfg.truth_params.tolist()), cfg.noise_law.beta,
+                   cfg.beta, cfg.eta, cfg.seed, cfg.n, cfg.x_domain)
+                  for token, cfg in experiment.benchmark_grid(7)]
+        assert actual == expected
+
+    def test_last_config_seed_fits_64_bits(self):
+        # Configuration k uses seed + k, so 2**64 - 8 is the largest base seed.
+        assert experiment.benchmark_grid(2**64 - 8)[-1][1].seed == 2**64 - 1
+        with pytest.raises(ValueError, match=r"seed must be at most 2\*\*64 - 8, as "
+                                             r"configuration k of the grid uses seed \+ k"):
+            experiment.benchmark_grid(2**64 - 7)
