@@ -13,7 +13,6 @@ import functools
 import io
 import json
 import os
-import re
 import stat
 import sys
 import warnings
@@ -151,42 +150,11 @@ def _first_bad_line(lines: list[str], start: int) -> tuple[int, str]:
 # np.loadtxt opens a str path through np.lib._datasource, which decompresses
 # names with these suffixes instead of reading the file as written.
 _DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-# An ASCII blank that starts the file (after a BOM) or a line.
-_BLANKS = b" \t\v\f"
-_FIRST_LINE_BLANK = re.compile(rb"(?:\xef\xbb\xbf)?[" + _BLANKS + rb"]")
-_LINE_BLANK = re.compile(rb"\n[" + _BLANKS + rb"]")
 
 
 def _text(data: bytes) -> io.TextIOWrapper:
     """``data`` as ``open(path, encoding="utf-8-sig")`` reads it: BOM dropped, newlines unified."""
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
-
-
-def _blank_led_line(data: bytes) -> bool:
-    """Whether a line of ``data`` starts with an ASCII blank.
-
-    numpy's reader rejects whitespace-only and indented comment lines, which
-    only the line reader accepts.
-    """
-    # Blank-free files, the common case, are settled by one memchr per blank.
-    return (any(blank in data for blank in _BLANKS)
-            and bool(_FIRST_LINE_BLANK.match(data) or _LINE_BLANK.search(data)))
-
-
-def _parse_by_lines(data: bytes, header: int, path: Path) -> np.ndarray:
-    """The rows of ``data`` read line by line; ValueError naming the first bad line."""
-    lines = _text(data)
-    if header:
-        lines.readline()
-    try:
-        xy = _xy_rows(lines)
-    except ValueError:
-        xy = None
-    if xy is None or not np.isfinite(xy).all():
-        # Error path only: parse the lines again to name the bad one.
-        line, problem = _first_bad_line(_text(data).readlines(), header)
-        raise ValueError(f"{path}:{line}: {problem}")
-    return xy
 
 
 def _read_xy_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -206,16 +174,25 @@ def _read_xy_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             header = int(_text(data).readline().strip().split(",")[:2] == ["x", "y"])
             xy = None
-            if (regular and path.suffix not in _DECOMPRESSED_SUFFIXES
-                    and not _blank_led_line(data)):
+            if regular and path.suffix not in _DECOMPRESSED_SUFFIXES:
                 try:
                     xy = np.loadtxt(os.path.abspath(path), delimiter=",", comments="#",
                                     usecols=(0, 1), ndmin=2, skiprows=header,
                                     encoding="utf-8-sig")
                 except ValueError:
                     pass
+            if xy is None:
+                lines = _text(data)
+                if header:
+                    lines.readline()
+                try:
+                    xy = _xy_rows(lines)
+                except ValueError:
+                    pass
             if xy is None or not np.isfinite(xy).all():
-                xy = _parse_by_lines(data, header, path)
+                # Error path only: parse the lines again to name the bad one.
+                line, problem = _first_bad_line(_text(data).readlines(), header)
+                raise ValueError(f"{path}:{line}: {problem}")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     if not xy.size:
@@ -432,7 +409,10 @@ def _config_value(key: str, value, action: argparse.Action):
     if value is None and action.default is None:
         return None
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"--config key {key!r} is too large for a double") from None
     if type(value) is not kind:
         raise ValueError(
             f"--config key {key!r} must be a JSON {kind.__name__}, got {value!r}")
@@ -497,6 +477,8 @@ def main(argv=None) -> int:
             parser, commands = build_parser()
             _apply_config(found.config, commands[found.command])
         args = parser.parse_args(argv)
+        if args.out == "":
+            raise ValueError("--out needs a path, got ''")
         if args.threads < 1:
             raise ValueError(f"threads must be at least 1, got {args.threads}")
         return args.func(args)

@@ -273,6 +273,19 @@ class TestFit:
         np.testing.assert_allclose(json.loads(out.read_text())["params"], [2.0, 1.0], atol=1e-10)
 
 
+@pytest.fixture
+def loadtxt_sources(monkeypatch):
+    """The type of each source given to np.loadtxt, in call order."""
+    sources = []
+    loadtxt = np.loadtxt
+
+    def recording_loadtxt(source, *args, **kwargs):
+        sources.append(type(source))
+        return loadtxt(source, *args, **kwargs)
+    monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
+    return sources
+
+
 class TestFitInput:
     """The `fit` reader: numpy's parser must agree with Python's float()."""
 
@@ -369,40 +382,29 @@ class TestFitInput:
                      "--out", str(tmp_path / "f.json")]) == 2
         assert f"{path}:2902: non-finite cell" in capsys.readouterr().err
 
-    def test_long_file_parses_bit_equal_on_either_route(self, tmp_path, monkeypatch):
-        # More rows than numpy reads in one chunk, none of them through the line reader.
+    def test_long_file_parses_bit_equal_on_either_route(self, tmp_path, loadtxt_sources):
+        # More rows than numpy reads in one chunk.
         rng = np.random.default_rng(5)
         x = np.sort(rng.uniform(-1e3, 1e3, 120_000))
         y = rng.standard_normal(x.size) * 10.0 ** rng.integers(-300, 300, x.size)
         rows = [f"{a!r},{b!r}" for a, b in zip(x.tolist(), y.tolist())]
-        path = tmp_path / "long.csv"
-        path.write_text("x,y\n" + "\n".join(rows) + "\n")
         want = [np.array([float(cell) for cell in column])
                 for column in zip(*(row.split(",") for row in rows))]
-
-        def line_reader(lines):
-            raise AssertionError("the line reader parsed a plain file")
-        with monkeypatch.context() as m:
-            m.setattr(cli, "_xy_rows", line_reader)
+        path = tmp_path / "long.csv"
+        # numpy reads a plain file and indented data rows by path alone; it
+        # rejects whitespace-only and indented comment lines, so that file is
+        # read by path, then by the line reader.
+        for body, sources in [
+            (rows, [str]),
+            (["  " + row for row in rows], [str]),
+            (rows[:100_000] + ["  \t", "   # indented comment"] + rows[100_000:], [str, map]),
+        ]:
+            path.write_text("x,y\n" + "\n".join(body) + "\n")
+            loadtxt_sources.clear()
             got = _read_xy_csv(path)
-        for column, expected in zip(got, want):
-            assert column.tobytes() == expected.tobytes()
-
-        # Blank-led lines send the file to the line reader alone: numpy is
-        # never asked to read it by path first.
-        rows[100_000:100_000] = ["  \t", "   # indented comment"]
-        path.write_text("x,y\n" + "\n".join(rows) + "\n")
-        sources = []
-        loadtxt = np.loadtxt
-
-        def recording_loadtxt(source, *args, **kwargs):
-            sources.append(type(source))
-            return loadtxt(source, *args, **kwargs)
-        monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
-        got = _read_xy_csv(path)
-        assert sources == [map]
-        for column, expected in zip(got, want):
-            assert column.tobytes() == expected.tobytes()
+            assert loadtxt_sources == sources
+            for column, expected in zip(got, want):
+                assert column.tobytes() == expected.tobytes()
 
     def test_compressed_suffix_is_read_as_written(self, tmp_path):
         path = tmp_path / "data.csv.gz"
@@ -437,11 +439,20 @@ class TestFitInput:
         assert piped.returncode == 2
         assert f"/dev/stdin:{len(text.splitlines())}: non-numeric cell" in piped.stderr
 
-    def test_undecodable_file_is_usage_error(self, tmp_path, capsys):
+    def test_undecodable_file_is_usage_error(self, tmp_path, capsys, loadtxt_sources):
         path = tmp_path / "latin1.csv"
         path.write_bytes("x,y\n0,1\n1,\xe9\n".encode("latin-1"))
         assert main(["fit", "--input", str(path), "--model", "poly0"]) == 2
         assert f"cannot read {path}" in capsys.readouterr().err
+
+        # A blank-led file whose bad byte lies past the header's first read
+        # reaches numpy first, and fails the same way.
+        loadtxt_sources.clear()
+        rows = "".join(f"  {i},{i}\n" for i in range(2000))
+        path.write_bytes(f"x,y\n  \n{rows}1,\xe9\n".encode("latin-1"))
+        assert main(["fit", "--input", str(path), "--model", "poly0"]) == 2
+        assert f"cannot read {path}" in capsys.readouterr().err
+        assert loadtxt_sources[0] is str
 
 
 class TestExperiment:
@@ -491,6 +502,29 @@ class TestExperiment:
         assert code == 2
         assert "threads must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["experiment", "--model", "poly", "--beta", "0.4", "--eta", "30", "--reps", "2"],
+        ["tables", "--configs", "poly:b0.4:e30", "--reps", "2"],
+        ["sample", "-n", "3"],
+        ["fit", "--model", "poly2"],
+    ], ids=["experiment", "tables", "sample", "fit"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_empty_out_is_usage_error(self, tmp_path, monkeypatch, capsys, quadratic_csv,
+                                      command, via):
+        if command[0] == "fit":
+            command = [*command, "--input", str(quadratic_csv)]
+        if via == "flag":
+            command = [*command, "--out", ""]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"out": ""}))
+            command = [*command, "--config", str(cfg)]
+        before = sorted(tmp_path.iterdir())
+        monkeypatch.chdir(tmp_path)
+        assert main(command) == 2
+        assert "--out needs a path" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("option, value", [("--eta", "nan"), ("--eta", "inf"),
                                                ("--xmax", "inf"), ("--xmax", "nan")])
@@ -772,6 +806,18 @@ class TestConfigFile:
                      "--out", str(tmp_path / "t"), "--config", str(cfg)])
         assert code == 2
         assert "'reps'" in capsys.readouterr().err
+
+    def test_float_entry_too_large_for_a_double_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"eta": 1' + "0" * 400 + "}")
+        out = tmp_path / "r.json"
+        code = main(["experiment", "--model", "poly", "--beta", "0.4", "--reps", "2",
+                     "--out", str(out), "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--config key 'eta' is too large for a double" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_explicit_flag_beats_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
