@@ -6,14 +6,17 @@ closed form through an SVD of the Vandermonde design matrix, factored once
 per batch.  Sinusoids a*sin(b*x + c) + d go through
 variable projection: for a fixed frequency b the model is linear in
 (A, B, d) with A sin(bx) + B cos(bx) + d, so the SSE is a one-dimensional
-profile in b (Golub & Pereyra 1973).  The profile's closed form, from the
+profile in b (Golub & Pereyra 1973).  The search runs in span units,
+on t = (x - mean) / span and w = b * span, so it does not depend on where
+the abscissas lie or on their scale.  The profile's closed form, from the
 centered 2x2 normal equations, is scanned on a fixed frequency grid and
-refined by safeguarded Newton on its analytic derivatives between the best
-grid point's neighbours; the exact linear fit at the refined frequency is
-the result, so the fit needs no further polish.  The scan's sin/cos table
-depends on the abscissas alone: a batch sets it up once for all its rows,
-and it is cached for batches on equal abscissas.  The rest of a sinusoid
-fit is done row by row.
+refined by a safeguarded secant on its slope between the best grid point's
+neighbours; by the envelope theorem the slope needs only the 2x2 solve.
+The exact linear fit in x at the refined frequency is the result, so the
+fit needs no further polish.  The scan's sin/cos table depends on the
+abscissas alone: a batch sets it up once for all its rows, and it is
+cached for batches on equal abscissas.  The rest of a sinusoid fit is done
+row by row.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ CLOSED_FORM = "closed_form"
 TOLERANCE = "tolerance"
 BOUNDARY = "boundary"
 
-# Frequency grid of the profile scan: k * base / _GRID_DENSITY for
-# k = 1.._GRID_POINTS, base = 2*pi / abscissa span, so up to 8 periods over
-# the span, and fewer than (n - 1) / 2 on n points.  The first and last grid
-# frequencies are the ends of the search domain.
+# Frequency grid of the profile scan in span units: 2*pi * k / _GRID_DENSITY
+# for k = 1.._GRID_POINTS, so up to 8 periods over the span, and fewer than
+# (n - 1) / 2 on n points.  The first and last grid frequencies are the ends
+# of the search domain.
 _GRID_DENSITY = 20
 _GRID_POINTS = 160
 # Largest (frequencies x points) block of one vectorised profile pass, which
@@ -178,37 +181,26 @@ def fit_linear(degree: int, x: np.ndarray, ys: np.ndarray) -> FitBatch:
     return FitBatch(model, params, sse, (0,) * len(ys), (CLOSED_FORM,) * len(ys))
 
 
-def _frequency_grid(x: np.ndarray) -> np.ndarray:
-    """The profile scan's frequencies; the first and last are the search domain's ends.
-
-    A span so short that twice the last frequency overflows raises
-    ValueError: the refinement bisects its bracket at (lo + hi) / 2.
-    """
-    span = float(x.max() - x.min())
-    if span <= 0.0:
-        raise ValueError("abscissas must span a positive interval")
-    step = 2.0 * math.pi / span / _GRID_DENSITY
-    # b_k * span = 2*pi*k / _GRID_DENSITY < pi * (n - 1): below Nyquist on equal spacing.
-    points = min(_GRID_POINTS, (_GRID_DENSITY * (x.size - 1) - 1) // 2)
-    # Python floats overflow to inf silently; numpy's product below gives the same bits.
-    if not math.isfinite(2.0 * step * points):
-        raise ValueError(f"abscissa span {span!r} is too short: the scan's frequencies overflow")
-    return step * np.arange(1, points + 1)
+def _frequency_grid(n: int) -> np.ndarray:
+    """The scan's frequencies in span units; the first and last are the search domain's ends."""
+    # w_k = 2*pi*k / _GRID_DENSITY < pi * (n - 1): below Nyquist on n equally spaced points.
+    points = min(_GRID_POINTS, (_GRID_DENSITY * (n - 1) - 1) // 2)
+    return 2.0 * math.pi / _GRID_DENSITY * np.arange(1, points + 1)
 
 
-def _scan_blocks(x: np.ndarray):
+def _scan_blocks(t: np.ndarray):
     """Centered sin/cos columns of the grid frequencies and their Gram entries, by blocks.
 
     Yields (s, c, ss, cc, sc, det) per block of at most _GRID_BLOCK cells.
-    exp(i b_k x) comes from a running product over k (about k ulps of
+    exp(i w_k t) comes from a running product over k (about k ulps of
     error, ample for a ranking), and centering removes the offset column.
     """
-    bs = _frequency_grid(x)
-    step = np.exp(1j * bs[0] * x)
+    ws = _frequency_grid(t.size)
+    step = np.exp(1j * ws[0] * t)
     phase = np.ones_like(step)
-    rows = max(1, _GRID_BLOCK // x.size)
-    for lo in range(0, bs.size, rows):
-        z = phase * np.cumprod(np.broadcast_to(step, (min(rows, bs.size - lo), x.size)), axis=0)
+    rows = max(1, _GRID_BLOCK // t.size)
+    for lo in range(0, ws.size, rows):
+        z = phase * np.cumprod(np.broadcast_to(step, (min(rows, ws.size - lo), t.size)), axis=0)
         phase = z[-1]
         s = z.imag - z.imag.mean(axis=1, keepdims=True)
         c = z.real - z.real.mean(axis=1, keepdims=True)
@@ -231,7 +223,7 @@ def _scan_table(key: bytes) -> tuple[np.ndarray, ...]:
     return table
 
 
-def _grid_profiles(x: np.ndarray, ycs: list[np.ndarray], tss: list[float]) -> list[np.ndarray]:
+def _grid_profiles(t: np.ndarray, ycs: list[np.ndarray], tss: list[float]) -> list[np.ndarray]:
     """Profile SSE at the grid frequencies of each centered ordinate row, for ranking them.
 
     Entry i belongs to ``ycs[i]``, whose sum of squares is ``tss[i]``; the
@@ -242,16 +234,16 @@ def _grid_profiles(x: np.ndarray, ycs: list[np.ndarray], tss: list[float]) -> li
     row has its own matrix-vector products, so its values do not depend on
     the batch.
     """
-    if x.size * _GRID_POINTS <= _GRID_BLOCK:
-        blocks = [_scan_table(x.tobytes())]
+    if t.size * _GRID_POINTS <= _GRID_BLOCK:
+        blocks = [_scan_table(t.tobytes())]
     else:
-        blocks = _scan_blocks(x)
+        blocks = _scan_blocks(t)
     parts = [[] for _ in ycs]
     with np.errstate(divide="ignore", invalid="ignore"):
         for s, c, ss, cc, sc, det in blocks:
-            for yc, t, row in zip(ycs, tss, parts):
+            for yc, total, row in zip(ycs, tss, parts):
                 sy, cy = s @ yc, c @ yc
-                row.append(t - (cc * sy * sy - 2.0 * sc * sy * cy + ss * cy * cy) / det)
+                row.append(total - (cc * sy * sy - 2.0 * sc * sy * cy + ss * cy * cy) / det)
     return [np.where(np.isfinite(p), p, np.inf) for p in map(np.concatenate, parts)]
 
 
@@ -266,108 +258,105 @@ def _linear_at(b: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, floa
     return params, float(r @ r)
 
 
-def _profile_derivatives(b: float, u: np.ndarray, yc: np.ndarray,
-                         tss: float) -> tuple[float, float, float]:
-    """The closed-form profile f(b) = tss - R(b) and its analytic f' and f''.
+def _profile_slope(w: float, t: np.ndarray, yc: np.ndarray) -> float:
+    """The slope in w of the closed-form profile f(w) = min over (A, B, d) of the SSE.
 
-    ``u`` are the abscissas shifted to mean zero, which keeps the derivative
-    columns u cos(bu), ... accurate (the profile is shift-invariant).  With
-    G the Gram matrix of the centered sin and cos columns, q their products
-    with ``yc``, theta = G^-1 q and r = q' - G' theta: R = q^T theta,
-    R' = 2 q'^T theta - theta^T G' theta and
-    R'' = 2 q''^T theta + 2 r^T G^-1 r - theta^T G'' theta.  A singular G
-    gives non-finite values, never an error.
+    By the envelope theorem of variable projection, f' is the SSE's partial
+    derivative in w at the optimal coefficients: -2 r^T t (A cos wt - B sin wt),
+    with A, B and the residual r from the centered 2x2 normal equations.  A
+    singular Gram matrix gives nan, never an error.
     """
-    bu = b * u
-    sin, cos = np.sin(bu), np.cos(bu)
-    us, uc = u * sin, u * cos
-    # Rows s, c and their first and second derivatives in b, all centered.
-    v = np.stack([sin, cos, uc, -us, -u * us, -u * uc])
-    v -= v.mean(axis=1, keepdims=True)
-    g = (v @ v.T).tolist()
-    q0, q1, d0, d1, e0, e1 = (v @ yc).tolist()
-    ss, sc, cc = g[0][0], g[0][1], g[1][1]
+    wt = w * t
+    sin, cos = np.sin(wt), np.cos(wt)
+    s, c = sin - sin.mean(), cos - cos.mean()
+    ss, sc, cc, sy, cy = (float(u @ v) for u, v in ((s, s), (s, c), (c, c), (s, yc), (c, yc)))
     det = ss * cc - sc * sc
-    inv = 1.0 / det if det else math.inf
-    # G' and G'' by the product rule; each is symmetric.
-    ds, dsc, dc = 2.0 * g[2][0], g[2][1] + g[3][0], 2.0 * g[3][1]
-    es = 2.0 * (g[4][0] + g[2][2])
-    esc = g[4][1] + 2.0 * g[2][3] + g[5][0]
-    ec = 2.0 * (g[5][1] + g[3][3])
-    t0, t1 = (cc * q0 - sc * q1) * inv, (ss * q1 - sc * q0) * inv
-    r0, r1 = d0 - (ds * t0 + dsc * t1), d1 - (dsc * t0 + dc * t1)
-    w0, w1 = (cc * r0 - sc * r1) * inv, (ss * r1 - sc * r0) * inv
-    explained = q0 * t0 + q1 * t1
-    slope = 2.0 * (d0 * t0 + d1 * t1) - (ds * t0 * t0 + 2.0 * dsc * t0 * t1 + dc * t1 * t1)
-    curvature = (2.0 * (e0 * t0 + e1 * t1) + 2.0 * (w0 * r0 + w1 * r1)
-                 - (es * t0 * t0 + 2.0 * esc * t0 * t1 + ec * t1 * t1))
-    return tss - explained, -slope, -curvature
+    if not det:
+        return math.nan
+    amp_s, amp_c = (cc * sy - sc * cy) / det, (ss * cy - sc * sy) / det
+    r = yc - amp_s * s - amp_c * c
+    return -2.0 * float(r @ (t * (amp_s * cos - amp_c * sin)))
 
 
-def _newton_minimize(b: float, lo: float, hi: float, u: np.ndarray, yc: np.ndarray,
-                     tss: float) -> tuple[float, int]:
-    """Minimise the closed-form profile on [lo, hi], starting at its grid point b.
+def _secant_minimize(w: float, lo: float, hi: float, curvature: float, t: np.ndarray,
+                     yc: np.ndarray) -> tuple[float, int]:
+    """Minimise the closed-form profile on [lo, hi], starting at its grid point w.
 
-    Safeguarded Newton on the root of f': every evaluation shrinks the
-    bracket to the side where f' changes sign, and a step that leaves the
-    bracket, meets f'' <= 0 or is not finite becomes a bisection, which
-    bounds the loop.  Stops once a step is at most sqrt(eps) * b; returns
-    that point and the number of derivative evaluations.
+    Safeguarded secant on the root of f': every evaluation shrinks the
+    bracket to the side where f' changes sign.  The first step divides by
+    ``curvature``, later ones by the secant of the last two slopes; a step
+    that leaves the bracket or whose curvature is not finite and positive
+    becomes a bisection, which bounds the loop.  Stops once a step is at
+    most sqrt(eps) * w; returns that point and the number of slope
+    evaluations.
     """
     rel = math.sqrt(np.finfo(float).eps)
-    evaluations = 0
+    slope, evaluations = _profile_slope(w, t, yc), 1
     while True:
-        _, slope, curvature = _profile_derivatives(b, u, yc, tss)
-        evaluations += 1
         if slope > 0.0:
-            hi = b
+            hi = w
         elif slope < 0.0:
-            lo = b
-        new = b - slope / curvature if curvature > 0.0 else math.nan
+            lo = w
+        new = w - slope / curvature if 0.0 < curvature < math.inf else math.nan
         if not lo < new < hi:
             new = 0.5 * (lo + hi)
-        if abs(new - b) <= rel * b:
+        if abs(new - w) <= rel * w:
             return new, evaluations
-        b = new
+        new_slope, evaluations = _profile_slope(new, t, yc), evaluations + 1
+        curvature = (new_slope - slope) / (new - w)
+        w, slope = new, new_slope
 
 
 def fit_sinusoid(x: np.ndarray, ys: np.ndarray) -> FitBatch:
     """Least squares fit of a*sin(b*x + c) + d to each row of ``ys``.
 
-    Each fit is global over frequencies b from 2*pi / (20 * span) up to 8
-    periods over the span and below Nyquist, (n - 1) / 2 periods on n
-    points: the scan, set up once per batch, ranks the grid frequencies, and
-    Newton refines the best one between its neighbours (``iterations``
-    counts its derivative evaluations).  An optimum on an edge of that
-    domain (at the low end, the b -> 0 limit where the family degenerates to
-    a quadratic) is the exact linear fit there, flagged by stop reason
-    BOUNDARY.  Data faster than the domain's upper end are not always
-    flagged: a whole number of periods above 8 fits a side lobe inside the
-    domain, with stop reason TOLERANCE.  The parameters come out canonical
-    from the exact solve: b > 0, a >= 0 and c in (-pi, pi].  Data so large
-    that the fit overflows raise ValueError.
+    The search runs in span units, on t = (x - mean) / span and w = b * span.
+    Each fit is global over w from 2*pi / 20 up to 8 periods over the span
+    and below Nyquist, (n - 1) / 2 periods on n points: the scan, set up
+    once per batch, ranks the grid frequencies, and a secant on the
+    profile's slope refines the best one between its neighbours
+    (``iterations`` counts its slope evaluations).  An optimum on an edge of
+    that domain (at the low end, the b -> 0 limit where the family
+    degenerates to a quadratic) is the exact linear fit there, flagged by
+    stop reason BOUNDARY.  Data faster than the domain's upper end are not
+    always flagged: a whole number of periods above 8 fits a side lobe
+    inside the domain, with stop reason TOLERANCE.  The parameters come out
+    canonical from the exact solve in x: b > 0, a >= 0 and c in (-pi, pi].
+    A span so short that b = w / span overflows, and data so large that the
+    fit overflows, raise ValueError.
     """
     model = ModelSpec.sinusoid()
     if x.size < model.n_params:
         raise ValueError(f"sinusoid fits need at least {model.n_params} points, got {x.size}")
     params, sse = np.empty((len(ys), model.n_params)), np.empty(len(ys))
     iterations, reasons = np.empty(len(ys), dtype=int), [TOLERANCE] * len(ys)
+    ws = _frequency_grid(x.size)
     try:
         with np.errstate(over="raise"):
-            bs = _frequency_grid(x)
-            u = x - x.mean()
+            span = float(x.max() - x.min())
+            if span <= 0.0:
+                raise ValueError("abscissas must span a positive interval")
+            # Python floats overflow to inf silently.
+            if not math.isfinite(float(ws[-1]) / span):
+                raise ValueError(f"abscissa span {span!r} is too short: the frequencies overflow")
+            t = (x - x.mean()) / span
             ycs = [y - y.mean() for y in ys]
             tss = [float(yc @ yc) for yc in ycs]
-            for i, profile in enumerate(_grid_profiles(x, ycs, tss)):
+            for i, profile in enumerate(_grid_profiles(t, ycs, tss)):
                 k = int(np.argmin(profile))
-                lo, hi = bs[max(k - 1, 0)], bs[min(k + 1, bs.size - 1)]
-                b, iterations[i] = _newton_minimize(float(bs[k]), float(lo), float(hi),
-                                                    u, ycs[i], tss[i])
-                params[i], sse[i] = _linear_at(b, x, ys[i])
+                lo, hi = ws[max(k - 1, 0)], ws[min(k + 1, ws.size - 1)]
+                # The first curvature is the scan's second difference; an end of the grid has none.
+                curvature = math.nan
+                if 0 < k < ws.size - 1:
+                    left, mid, right = profile[k - 1:k + 2].tolist()
+                    curvature = (left - 2.0 * mid + right) / float(ws[0]) ** 2
+                w, iterations[i] = _secant_minimize(float(ws[k]), float(lo), float(hi), curvature,
+                                                    t, ycs[i])
+                params[i], sse[i] = _linear_at(w / span, x, ys[i])
                 # A bracket that touches an end of the domain keeps the end if it fits no worse.
                 for edge in (lo, hi):
-                    if edge in (bs[0], bs[-1]):
-                        edge_row, edge_sse = _linear_at(edge, x, ys[i])
+                    if edge in (ws[0], ws[-1]):
+                        edge_row, edge_sse = _linear_at(edge / span, x, ys[i])
                         if edge_sse <= sse[i]:
                             params[i], sse[i], reasons[i] = edge_row, edge_sse, BOUNDARY
                             break

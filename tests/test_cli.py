@@ -655,12 +655,10 @@ class TestExperiment:
         assert capsys.readouterr().err.startswith(f"stretchfit: error: {message}")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--eta", "1e155"], ["--eta", "1e308"],
-                                       ["--eta", "30", "--xmax", "1e80"]],
-                             ids=["eta1e155", "eta1e308", "xmax1e80"])
+    @pytest.mark.parametrize("flags", [["--eta", "1e155"], ["--eta", "1e308"]],
+                             ids=["eta1e155", "eta1e308"])
     def test_overflowing_sinusoid_fit_is_usage_error(self, tmp_path, capsys, flags):
-        # Ordinates near 1e155 overflow their sum of squares, abscissas near
-        # 1e78 the Gram matrix of the profile's derivative columns.
+        # Ordinates near 1e155 overflow their sum of squares.
         out = tmp_path / "r.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -13,6 +13,8 @@ from stretchfit import (
     stretched_fit_batch,
 )
 
+from statstools import expected_squared_rms, polynomial_projection, stretched_smoother
+
 
 def noisy_quadratic(seed: int, n: int = 120) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
@@ -137,3 +139,25 @@ class TestNoiselessFloor:
         y = x**2 + x + 2.0
         _, final = stretched_fit_batch(ModelSpec.polynomial(2), x, y[None], 1.0)
         np.testing.assert_allclose(final.predict(x)[0], y, atol=1e-8)
+
+
+class TestGainByDomain:
+    """Where on the axis the method gains, by the exact oracle of statstools."""
+
+    @pytest.mark.parametrize("beta, gains", [
+        (0.4, (3.7806, 0.8095, 0.0323, 0.0001)),
+        (0.8, (0.3140, 0.1276, 0.0110, 0.0001)),
+    ])
+    def test_gain_falls_away_from_zero(self, beta, gains):
+        # Truth x**2 + x + 2, sigma 0.3, 200 points on unit domains: the gain
+        # in E[error2**2], as a percentage of plain LSM's, comes from the
+        # singularity of x**beta at 0 and vanishes as the domain moves off it.
+        measured = []
+        for lo in (0.0, 0.1, 1.0, 10.0):
+            x = np.linspace(lo, lo + 1.0, 200)
+            f = x**2 + x + 2.0
+            plain = expected_squared_rms(polynomial_projection(x, 2), f, 0.3)
+            stretched = expected_squared_rms(stretched_smoother(x, beta, 2), f, 0.3)
+            measured.append(100.0 * (plain - stretched) / plain)
+        np.testing.assert_allclose(measured, gains, rtol=0.0, atol=0.001)
+        assert all(a > b for a, b in zip(measured, measured[1:]))
