@@ -34,7 +34,6 @@ from .hausdorff import (
     fractal_distance,
     hausdorff_derivative,
     hausdorff_integral,
-    metric_transform,
     reset_horizontal,
 )
 from .lsq import (
@@ -63,7 +62,6 @@ __all__ = [
     "fractal_distance",
     "hausdorff_derivative",
     "hausdorff_integral",
-    "metric_transform",
     "reset_horizontal",
     "FitBatch",
     "ModelSpec",

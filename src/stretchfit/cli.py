@@ -108,11 +108,9 @@ def cmd_sample(args) -> int:
 def _parse_model(token: str) -> ModelSpec:
     if token == "sin":
         return ModelSpec.sinusoid()
-    if token.startswith("poly"):
-        try:
-            return ModelSpec.polynomial(int(token[4:]))
-        except ValueError:
-            pass
+    degree = token[4:]
+    if token.startswith("poly") and degree.isascii() and degree.isdigit():
+        return ModelSpec.polynomial(int(degree))
     raise ValueError(f"unknown model {token!r}; expected 'sin' or 'poly<degree>'")
 
 

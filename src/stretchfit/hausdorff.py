@@ -23,19 +23,24 @@ class FractalAxis:
     origin: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.exponent <= 1.0) or not math.isfinite(self.exponent):
+        if not 0.0 < self.exponent <= 1.0:
             raise ValueError(f"exponent must lie in (0, 1], got {self.exponent}")
         if not math.isfinite(self.origin):
             raise ValueError("origin must be finite")
 
 
-def fractal_distance(axis: FractalAxis, point: float) -> float:
-    """Stretched distance (point - origin)**exponent for point >= origin."""
-    if point < axis.origin:
-        raise ValueError(
-            f"point {point} lies before the axis origin {axis.origin}"
-        )
-    return (point - axis.origin) ** axis.exponent
+def fractal_distance(axis: FractalAxis, point):
+    """Stretched distance (point - origin)**exponent, elementwise, for point >= origin.
+
+    A scalar point gives a float; an array keeps its shape.
+    """
+    p = np.asarray(point, dtype=float)
+    before = p < axis.origin
+    if before.any():
+        raise ValueError(f"point {p[before][0]} lies before the axis origin {axis.origin}")
+    d = np.subtract(p, axis.origin, out=np.empty_like(p))
+    np.power(d, axis.exponent, out=d)
+    return d if d.shape else float(d)
 
 
 def hausdorff_integral(v: Callable[[float], float], axis: FractalAxis,
@@ -54,7 +59,7 @@ def hausdorff_integral(v: Callable[[float], float], axis: FractalAxis,
     if quadrature_points < 1:
         raise ValueError("quadrature_points must be at least 1")
 
-    u_max = (upper - axis.origin) ** axis.exponent
+    u_max = fractal_distance(axis, upper)
     order = min(quadrature_points, _GL_PANEL_ORDER)
     panels = -(-quadrature_points // order)
     nodes, weights = np.polynomial.legendre.leggauss(order)
@@ -94,26 +99,17 @@ def hausdorff_derivative(l: Callable[[float], float], axis: FractalAxis,
     return slope / metric
 
 
-def metric_transform(delta, exponent: float):
-    """Scale transform delta**exponent for nonnegative delta."""
-    if not (0.0 < exponent <= 1.0):
-        raise ValueError(f"exponent must lie in (0, 1], got {exponent}")
-    d = np.asarray(delta, dtype=float)
-    if np.any(d < 0.0):
-        raise ValueError("delta must be nonnegative")
-    out = d**exponent
-    return out if d.shape else float(out)
-
-
 def reset_horizontal(x, beta: float) -> np.ndarray:
-    """Reset abscissas to xx = x + x**beta, elementwise.
+    """Reset abscissas to xx = x + x**beta: each x plus its fractal distance from origin 0.
 
     Strictly increasing in each x, so the input ordering is preserved.
     Negative abscissas have no real stretch and are rejected.
     """
-    if not (0.0 < beta <= 1.0):
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
     xv = np.asarray(x, dtype=float)
-    if np.any(xv < 0.0):
-        raise ValueError("abscissas must be nonnegative for the horizontal reset")
-    return xv + xv**beta
+    stretch = fractal_distance(FractalAxis(beta), xv)
+    try:
+        with np.errstate(over="raise"):
+            return xv + stretch
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"horizontal reset overflows ({exc}): the abscissas are too large") from exc

@@ -224,8 +224,10 @@ class TestFit:
                      "--method", "stretched", "--out", str(tmp_path / "f.json")])
         assert code == 2
         assert "--beta" in capsys.readouterr().err
-        assert main(["fit", "--input", missing, "--model", "cubic"]) == 2
-        assert "unknown model" in capsys.readouterr().err
+        # Only "poly" and ASCII digits name a polynomial; int() would take the rest.
+        for token in ["cubic", "poly 2", "poly1_0", "poly+2", "poly\u0662", "poly\uff12"]:
+            assert main(["fit", "--input", missing, "--model", token]) == 2
+            assert f"unknown model {token!r}" in capsys.readouterr().err
 
     def test_rank_deficient_is_numerical_failure(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
@@ -248,6 +250,37 @@ class TestFit:
         assert capsys.readouterr().err == (
             "stretchfit: error: polynomial fit overflows (overflow encountered in multiply): "
             "the abscissas are too large\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["poly0", "poly1"])
+    def test_overflowing_reset_is_usage_error(self, tmp_path, capsys, model):
+        # x + x**1 overflows although every abscissa is finite.
+        path = tmp_path / "huge.csv"
+        path.write_text("x,y\n" + "".join(f"{0.9e308 + i * (0.8e308 / 9)!r},{i}\n"
+                                           for i in range(10)))
+        out = tmp_path / "f.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", "--input", str(path), "--model", model,
+                         "--method", "stretched", "--beta", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "stretchfit: error: horizontal reset overflows (overflow encountered in add): "
+            "the abscissas are too large\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beta,rows,message", [
+        ("0.4", "-0.5,1\n0,2\n1,3\n", "point -0.5 lies before the axis origin 0.0"),
+        ("1.5", "0,1\n1,2\n2,3\n", "exponent must lie in (0, 1], got 1.5"),
+    ], ids=["negative-abscissa", "beta-out-of-range"])
+    def test_reset_rejects_with_axis_message(self, tmp_path, capsys, beta, rows, message):
+        path = tmp_path / "in.csv"
+        path.write_text("x,y\n" + rows)
+        out = tmp_path / "f.json"
+        code = main(["fit", "--input", str(path), "--model", "poly1",
+                     "--method", "stretched", "--beta", beta, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"stretchfit: error: {message}\n"
         assert not out.exists()
 
     def test_nonconvergence_exit_code_and_report(self, tmp_path):

@@ -1,6 +1,7 @@
 """Fractal-metric operators: distances, stretched integral and derivative."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from stretchfit import (
     fractal_distance,
     hausdorff_derivative,
     hausdorff_integral,
-    metric_transform,
     reset_horizontal,
 )
 
@@ -36,9 +36,36 @@ class TestFractalDistance:
         assert got == pytest.approx(math.exp(0.4 * math.log(0.5)), rel=1e-15)
         assert got == pytest.approx(0.7578582832551991, rel=1e-15)
 
-    def test_point_before_origin_rejected(self):
-        with pytest.raises(ValueError):
-            fractal_distance(FractalAxis(0.5, 1.0), 0.5)
+    @pytest.mark.parametrize("exponent", [0.3, 0.5, 1.0])
+    def test_fixed_points(self, exponent):
+        assert fractal_distance(FractalAxis(exponent), 0.0) == 0.0
+        assert fractal_distance(FractalAxis(exponent), 1.0) == 1.0
+
+    @pytest.mark.parametrize("origin,point,named", [
+        (1.0, 0.5, 0.5),
+        (0.0, -0.1, -0.1),
+        (1.0, np.array([[1.5, 0.25], [-3.0, 2.0]]), 0.25),  # the first in C order
+    ], ids=["scalar", "negative", "array"])
+    def test_point_before_origin_rejected(self, origin, point, named):
+        with pytest.raises(ValueError, match=re.escape(
+                f"point {named} lies before the axis origin {origin}")):
+            fractal_distance(FractalAxis(0.5, origin), point)
+
+    @pytest.mark.parametrize("point", [4.0, 4, np.float64(4.0), np.array(4.0)],
+                             ids=["float", "int", "float64", "0-d"])
+    def test_scalar_gives_float(self, point):
+        got = fractal_distance(FractalAxis(0.5), point)
+        assert type(got) is float
+        assert got == 2.0
+
+    @pytest.mark.parametrize("shape", [(0,), (5,), (2, 3)])
+    def test_array_keeps_shape(self, shape):
+        pts = np.arange(math.prod(shape), dtype=float).reshape(shape) + 0.25
+        axis = FractalAxis(0.6, 0.25)
+        got = fractal_distance(axis, pts)
+        assert got.shape == shape
+        np.testing.assert_allclose(
+            got.ravel(), [fractal_distance(axis, p) for p in pts.ravel()], rtol=1e-15)
 
     def test_monotone_in_point(self):
         axis = FractalAxis(0.6, 0.25)
@@ -141,20 +168,6 @@ class TestHausdorffDerivative:
             hausdorff_derivative(lambda t: t, FractalAxis(0.5, 0.0), 1.0, step=1.0)
 
 
-class TestMetricTransform:
-    def test_square_root(self):
-        assert metric_transform(4.0, 0.5) == 2.0
-
-    @pytest.mark.parametrize("exponent", [0.3, 0.5, 1.0])
-    def test_fixed_points(self, exponent):
-        assert metric_transform(0.0, exponent) == 0.0
-        assert metric_transform(1.0, exponent) == 1.0
-
-    def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError):
-            metric_transform(-0.1, 0.5)
-
-
 class TestResetHorizontal:
     def test_fixed_points(self):
         for beta in (0.2, 0.4, 0.8, 1.0):
@@ -186,3 +199,10 @@ class TestResetHorizontal:
     def test_negative_abscissa_rejected(self):
         with pytest.raises(ValueError):
             reset_horizontal([-0.5, 1.0], 0.4)
+
+    @pytest.mark.parametrize("beta", [1e-300, 0.1, 0.4, 0.8, 1.0])
+    @pytest.mark.parametrize("grid", ["linspace", "uniform"])
+    def test_bits_equal_direct_power(self, beta, grid):
+        x = (np.linspace(0.0, 1.0, 200) if grid == "linspace"
+             else np.random.default_rng(7).uniform(0.0, 1.0, 100_000))
+        assert reset_horizontal(x, beta).tobytes() == (x + x**beta).tobytes()
