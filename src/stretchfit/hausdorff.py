@@ -32,13 +32,17 @@ class FractalAxis:
 def fractal_distance(axis: FractalAxis, point):
     """Stretched distance (point - origin)**exponent, elementwise, for point >= origin.
 
-    A scalar point gives a float; an array keeps its shape.
+    A scalar point gives a float and an array keeps its shape; an overflow raises ValueError.
     """
     p = np.asarray(point, dtype=float)
     before = p < axis.origin
     if before.any():
         raise ValueError(f"point {p[before][0]} lies before the axis origin {axis.origin}")
-    d = np.subtract(p, axis.origin, out=np.empty_like(p))
+    try:
+        with np.errstate(over="raise"):
+            d = np.subtract(p, axis.origin, out=np.empty_like(p))
+    except FloatingPointError as exc:
+        raise ValueError(f"distance from the axis origin {axis.origin} overflows ({exc})") from exc
     np.power(d, axis.exponent, out=d)
     return d if d.shape else float(d)
 

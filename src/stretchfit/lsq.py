@@ -3,20 +3,18 @@
 Both solve a batch: one abscissa vector and a matrix of ordinate rows, one
 fit per row; a single fit is a batch of one.  Polynomials are fitted in
 closed form through an SVD of the Vandermonde design matrix, factored once
-per batch.  Sinusoids a*sin(b*x + c) + d go through
-variable projection: for a fixed frequency b the model is linear in
-(A, B, d) with A sin(bx) + B cos(bx) + d, so the SSE is a one-dimensional
-profile in b (Golub & Pereyra 1973).  The search runs in span units,
-on t = (x - mean) / span and w = b * span, so it does not depend on where
-the abscissas lie or on their scale.  The profile's closed form, from the
-centered 2x2 normal equations, is scanned on a fixed frequency grid and
-refined by a safeguarded secant on its slope between the best grid point's
-neighbours; by the envelope theorem the slope needs only the 2x2 solve.
-The exact linear fit in x at the refined frequency is the result, so the
-fit needs no further polish.  The scan's sin/cos table depends on the
-abscissas alone: a batch sets it up once for all its rows, and it is
-cached for batches on equal abscissas.  The rest of a sinusoid fit is done
-row by row.
+per batch.  Sinusoids a*sin(b*x + c) + d go through variable projection:
+for a fixed frequency b the model is linear in (A, B, d) with
+A sin(bx) + B cos(bx) + d, so the SSE is a one-dimensional profile in b
+(Golub & Pereyra 1973).  The search runs in span units, on
+t = (x - mean) / span and w = b * span, so it does not depend on where the
+abscissas lie or on their scale.  The profile's closed form is scanned on a
+fixed frequency grid and refined by a safeguarded secant on its slope
+between the best grid point's neighbours; the result is the exact linear
+fit in x there.  By the envelope theorem the slope too needs only the linear
+solve, in closed form: centering removes the offset, one Gram-Schmidt step
+the rest.  The scan's sin/cos table depends on the abscissas alone: a batch
+sets it up once for all its rows, and it is cached for equal abscissas.
 """
 
 from __future__ import annotations
@@ -247,15 +245,33 @@ def _grid_profiles(t: np.ndarray, ycs: list[np.ndarray], tss: list[float]) -> li
     return [np.where(np.isfinite(p), p, np.inf) for p in map(np.concatenate, parts)]
 
 
+def _centered_fit(sin: np.ndarray, cos: np.ndarray, yc: np.ndarray):
+    """Least squares of centered ordinates on sin and cos: (A, B, the columns' means, residual).
+
+    One Gram-Schmidt step orthogonalises the centered cos against the centered sin
+    (Bjorck 1967).  As in np.linalg.lstsq, a column left with norm at most
+    eps * max(n, 3) * sqrt(n), the columns' scale, counts as zero: its amplitude is 0.
+    """
+    n = sin.size
+    means = np.add.reduce(sin) / n, np.add.reduce(cos) / n
+    s, c = sin - means[0], cos - means[1]
+    tol = (np.finfo(float).eps * max(n, 3)) ** 2 * n
+    ss = s.dot(s)
+    proj, alpha = (s.dot(c) / ss, s.dot(yc) / ss) if ss > tol else (0.0, 0.0)
+    c = c - proj * s
+    cc = c.dot(c)
+    amp_c = c.dot(yc) / cc if cc > tol else 0.0
+    return alpha - amp_c * proj, amp_c, means, yc - alpha * s - amp_c * c
+
+
 def _linear_at(b: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact least squares at a fixed frequency b > 0: canonical (a, b, c, d) and its SSE."""
-    design = np.column_stack([np.sin(b * x), np.cos(b * x), np.ones_like(x)])
-    (amp_s, amp_c, d), *_ = np.linalg.lstsq(design, y, rcond=None)
-    r = design @ np.array([amp_s, amp_c, d]) - y
-    # amp_s sin(bx) + amp_c cos(bx) = a sin(bx + c) with a >= 0, a cos c = amp_s, a sin c = amp_c;
-    # + 0.0 turns amp_c = -0.0 into +0.0, so c = atan2 lies in (-pi, pi], never at -pi.
+    y_mean = np.add.reduce(y) / y.size
+    amp_s, amp_c, means, r = _centered_fit(np.sin(b * x), np.cos(b * x), y - y_mean)
+    # a sin(bx + c) with a >= 0, a cos c = amp_s, a sin c = amp_c; + 0.0 keeps atan2 off -pi.
+    d = y_mean - amp_s * means[0] - amp_c * means[1]
     params = np.array([math.hypot(amp_s, amp_c), b, math.atan2(amp_c + 0.0, amp_s), d])
-    return params, float(r @ r)
+    return params, float(r.dot(r))
 
 
 def _profile_slope(w: float, t: np.ndarray, yc: np.ndarray) -> float:
@@ -263,19 +279,12 @@ def _profile_slope(w: float, t: np.ndarray, yc: np.ndarray) -> float:
 
     By the envelope theorem of variable projection, f' is the SSE's partial
     derivative in w at the optimal coefficients: -2 r^T t (A cos wt - B sin wt),
-    with A, B and the residual r from the centered 2x2 normal equations.  A
-    singular Gram matrix gives nan, never an error.
+    with A, B and the residual r from _centered_fit.
     """
     wt = w * t
     sin, cos = np.sin(wt), np.cos(wt)
-    s, c = sin - sin.mean(), cos - cos.mean()
-    ss, sc, cc, sy, cy = (float(u @ v) for u, v in ((s, s), (s, c), (c, c), (s, yc), (c, yc)))
-    det = ss * cc - sc * sc
-    if not det:
-        return math.nan
-    amp_s, amp_c = (cc * sy - sc * cy) / det, (ss * cy - sc * sy) / det
-    r = yc - amp_s * s - amp_c * c
-    return -2.0 * float(r @ (t * (amp_s * cos - amp_c * sin)))
+    amp_s, amp_c, _, r = _centered_fit(sin, cos, yc)
+    return -2.0 * float(r.dot(t * (amp_s * cos - amp_c * sin)))
 
 
 def _secant_minimize(w: float, lo: float, hi: float, curvature: float, t: np.ndarray,

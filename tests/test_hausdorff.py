@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,16 @@ class TestFractalDistance:
         assert got.shape == shape
         np.testing.assert_allclose(
             got.ravel(), [fractal_distance(axis, p) for p in pts.ravel()], rtol=1e-15)
+
+    @pytest.mark.parametrize("point", [1e308, np.array([0.0, 1e308])], ids=["scalar", "array"])
+    def test_overflowing_difference_rejected(self, point):
+        # 1e308 - (-1e308) overflows: a ValueError naming it, not numpy's warning and inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "distance from the axis origin -1e+308 overflows "
+                    "(overflow encountered in subtract)")):
+                fractal_distance(FractalAxis(0.5, -1e308), point)
 
     def test_monotone_in_point(self):
         axis = FractalAxis(0.6, 0.25)

@@ -1,6 +1,8 @@
 """Model evaluation, the linear solver, and the variable-projection sinusoid solver."""
 
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,6 +67,39 @@ def dense_profile_reference(x, y):
             method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=200)
         best = min(best, profile[i], float(polished.fun @ polished.fun))
     return best
+
+
+def lstsq_sse(b, x, y):
+    """SSE of the least squares fit of A sin(bx) + B cos(bx) + d, by np.linalg.lstsq."""
+    design = np.column_stack([np.sin(b * x), np.cos(b * x), np.ones_like(x)])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    r = design @ coef - y
+    return float(r @ r)
+
+
+def exact_sse(b, x, y):
+    """The same least squares SSE on the rounded columns, in exact rational arithmetic.
+
+    It is det(Gram of sin, cos, 1, y) / det(Gram of sin, cos, 1); the columns
+    must be linearly independent.
+    """
+    cols = [[Fraction(v) for v in col.tolist()]
+            for col in (np.sin(b * x), np.cos(b * x), np.ones_like(x), y)]
+    gram = [[sum(map(operator.mul, u, v)) for v in cols] for u in cols]
+
+    def det(m):
+        m, out = [row[:] for row in m], Fraction(1)
+        for k in range(len(m)):
+            pivot = next(i for i in range(k, len(m)) if m[i][k])
+            if pivot != k:
+                m[k], m[pivot], out = m[pivot], m[k], -out
+            out *= m[k][k]
+            for i in range(k + 1, len(m)):
+                f = m[i][k] / m[k][k]
+                m[i] = [a - f * c for a, c in zip(m[i], m[k])]
+        return out
+
+    return float(det(gram) / det([row[:3] for row in gram[:3]]))
 
 
 class TestModelSpec:
@@ -231,11 +266,13 @@ class TestFitNonlinear:
 
     def test_negative_zero_cosine_amplitude_gives_phase_pi(self, monkeypatch):
         # atan2(-0.0, -1.0) is -pi, outside (-pi, pi]; the fit must report pi.
-        def lstsq(design, y, rcond=None):
-            return np.array([-1.0, -0.0, 0.0]), np.empty(0), 3, np.ones(3)
-        monkeypatch.setattr(lsq.np.linalg, "lstsq", lstsq)
+        # The solve returns A = -1, B = -0.0, zero column means and a zero
+        # residual; the ordinates' mean is exactly 0, so d = 0.0.
+        def centered_fit(sin, cos, yc):
+            return -1.0, -0.0, (0.0, 0.0), np.zeros_like(yc)
+        monkeypatch.setattr(lsq, "_centered_fit", centered_fit)
         x = np.linspace(0.0, 1.0, 50)
-        result = fit_batch(ModelSpec.sinusoid(), x, -np.sin(x)[None])
+        result = fit_batch(ModelSpec.sinusoid(), x, np.tile([1.0, -1.0], 25)[None])
         a, b, c, d = result.params[0]
         assert (a, c, d) == (1.0, math.pi, 0.0)
         assert b > 0.0
@@ -420,6 +457,53 @@ class TestSinusoidInvariance:
         assert np.max(np.abs(turn)) <= self.TOL * math.pi
 
 
+class TestLinearSolve:
+    """The closed-form solve at a fixed frequency gives the least SSE, as lstsq does."""
+
+    ABSCISSAS = {
+        "unit": np.linspace(0.0, 1.0, 200),
+        "xx": np.linspace(0.0, 1.0, 200) + np.linspace(0.0, 1.0, 200) ** 0.4,
+        "shifted": np.linspace(1000.0, 1001.0, 200),
+        "long": np.linspace(0.0, 20.0, 5000),
+        # Two and three distinct values: the centered sin and cos columns are
+        # parallel, and the rank rule must drop what is left of one of them.
+        "two_values": np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]),
+        "three_values": np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0]),
+    }
+
+    @staticmethod
+    def frequencies(x, rng):
+        """The scan's grid and 40 random frequencies below its top, in units of b."""
+        grid = lsq._frequency_grid(x.size)
+        return np.concatenate([grid, rng.uniform(0.0, grid[-1], 40)]) / (x.max() - x.min())
+
+    @pytest.mark.parametrize("name", list(ABSCISSAS))
+    def test_sse_matches_lstsq(self, name):
+        x = self.ABSCISSAS[name]
+        rng = np.random.default_rng(61)
+        for _ in range(3):
+            y = np.sin(3.0 * x) + rng.normal(0.0, 0.5, x.size)
+            tss = float(np.sum((y - y.mean()) ** 2))
+            for b in self.frequencies(x, rng):
+                params, sse = lsq._linear_at(b, x, y)
+                assert abs(sse - lstsq_sse(b, x, y)) <= 1e-12 * tss, b
+                assert params[0] >= 0.0 and -math.pi < params[2] <= math.pi
+
+    def test_tight_clusters_match_exact_sse(self):
+        # Two clusters 1e-6 wide: sin and cos are nearly parallel after
+        # centering, and the design's condition number reaches about 1e11 at
+        # b = 2*pi*k.  There lstsq is no reference: here it is off the exact
+        # SSE of the rounded columns by up to 8.7e-8 of tss, the closed form
+        # by up to 4.7e-12.
+        x = np.concatenate([np.linspace(0.0, 1e-6, 10), np.linspace(1.0, 1.0 + 1e-6, 10)])
+        rng = np.random.default_rng(67)
+        for _ in range(2):
+            y = np.sin(3.0 * x) + rng.normal(0.0, 0.5, x.size)
+            tss = float(np.sum((y - y.mean()) ** 2))
+            for b in self.frequencies(x, rng):
+                assert abs(lsq._linear_at(b, x, y)[1] - exact_sse(b, x, y)) <= 1e-10 * tss, b
+
+
 class TestProfileKernels:
     """The closed-form profile and its slope, the scan tables and their cache."""
 
@@ -436,7 +520,7 @@ class TestProfileKernels:
         yc = y - y.mean()
         tss = float(yc @ yc)
         span = x[-1] - x[0]
-        exact = np.array([lsq._linear_at(w / span, x, y)[1] for w in lsq._frequency_grid(x.size)])
+        exact = np.array([lstsq_sse(w / span, x, y) for w in lsq._frequency_grid(x.size)])
         scan = lsq._grid_profiles((x - x.mean()) / span, [yc], [tss])[0]
         assert np.max(np.abs(scan - exact)) <= 1e-12 * tss
 
@@ -453,7 +537,7 @@ class TestProfileKernels:
         span = x[-1] - x[0]
 
         def exact(b):
-            return lsq._linear_at(b, x, y)[1]
+            return lstsq_sse(b, x, y)
 
         t = (x - x.mean()) / span
         for w in lsq._frequency_grid(x.size)[::7]:

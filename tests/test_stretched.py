@@ -1,6 +1,8 @@
 """Two-stage procedure: equivalences, stage contracts, and where the
 transition curve is evaluated."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from stretchfit import (
     ModelSpec,
     SingularFitError,
     fit_batch,
+    grid_config,
     predict,
+    run_monte_carlo,
     stretched_fit_batch,
 )
 
@@ -161,3 +165,30 @@ class TestGainByDomain:
             measured.append(100.0 * (plain - stretched) / plain)
         np.testing.assert_allclose(measured, gains, rtol=0.0, atol=0.001)
         assert all(a > b for a, b in zip(measured, measured[1:]))
+
+
+class TestSinusoidGainByDomain:
+    """Where the method gains on sinusoids, by Monte Carlo: the sign turns with the domain."""
+
+    @pytest.mark.parametrize("xmax, sign", [(1.0, 1.0), (2.0 * math.pi, -1.0)],
+                             ids=["unit", "two_pi"])
+    def test_gain_sign(self, xmax, sign):
+        # Truth sin(x), beta 0.4, eta 30, 1,000 trials at seed 5.  The gain in
+        # E[error2**2], as a percentage of plain LSM's, must lie at least 3
+        # standard errors (of the paired differences) from 0: positive on
+        # [0, 1], where the truth spans 0.16 of a period and many plain fits
+        # stop at the b -> 0 edge, and negative on [0, 2*pi], where the
+        # frequency is identifiable and a sinusoid in x + x**beta is a chirp
+        # in x.
+        report = run_monte_carlo(grid_config("sin", 0.4, 30.0, seed=5, x_domain=(0.0, xmax)),
+                                 1000)
+        plain, stretched = report.column("lsm_error2") ** 2, report.column("slsm_error2") ** 2
+        base = plain.mean()
+        gain = 100.0 * (base - stretched.mean()) / base
+        se = 100.0 * np.std(plain - stretched, ddof=1) / math.sqrt(plain.size) / base
+        boundary = report.lsm.stop_reasons.count("boundary")
+        print(f"\nsin:b0.4:e30 on [0, {xmax:.6g}], {plain.size} trials: gain {gain:+.2f}% "
+              f"+- {se:.2f}% (z = {gain / se:+.2f}), mean error2**2 plain {base:.6g} "
+              f"stretched {stretched.mean():.6g}, win2 {report.summary['win_rate_error2']:.3f}, "
+              f"ties2 {report.summary['ties_error2']}, plain fits at boundary {boundary}")
+        assert sign * gain >= 3.0 * se
