@@ -6,15 +6,15 @@ closed form through an SVD of the Vandermonde design matrix, factored once
 per batch.  Sinusoids a*sin(b*x + c) + d go through variable projection:
 for a fixed frequency b the model is linear in (A, B, d) with
 A sin(bx) + B cos(bx) + d, so the SSE is a one-dimensional profile in b
-(Golub & Pereyra 1973).  The search runs in span units, on
-t = (x - mean) / span and w = b * span, so it does not depend on where the
-abscissas lie or on their scale.  The profile's closed form is scanned on a
-fixed frequency grid and refined by a safeguarded secant on its slope
-between the best grid point's neighbours; the result is the exact linear
-fit in x there.  By the envelope theorem the slope too needs only the linear
-solve, in closed form: centering removes the offset, one Gram-Schmidt step
-the rest.  The scan's sin/cos table depends on the abscissas alone: a batch
-sets it up once for all its rows, and it is cached for equal abscissas.
+(Golub & Pereyra 1973).  The search runs in span units, on t = (x - min) /
+span and w = b * span, so it does not depend on where the abscissas lie or
+on their scale.  The profile is scanned on a fixed frequency grid and
+refined by a safeguarded secant on its slope (by the envelope theorem, the
+linear solve's) between the best grid point's neighbours; the result is the
+exact linear fit in x there.  Scan and solve are one closed form: centering
+removes the offset, one Gram-Schmidt step orthogonalises cos against sin,
+and lstsq's rank rule drops a column of rounding noise.  The scan's table
+depends on the abscissas alone: set up once per batch, cached for equal ones.
 """
 
 from __future__ import annotations
@@ -179,33 +179,48 @@ def fit_linear(degree: int, x: np.ndarray, ys: np.ndarray) -> FitBatch:
     return FitBatch(model, params, sse, (0,) * len(ys), (CLOSED_FORM,) * len(ys))
 
 
-def _frequency_grid(n: int) -> np.ndarray:
+def _frequency_grid(levels: int) -> np.ndarray:
     """The scan's frequencies in span units; the first and last are the search domain's ends."""
-    # w_k = 2*pi*k / _GRID_DENSITY < pi * (n - 1): below Nyquist on n equally spaced points.
-    points = min(_GRID_POINTS, (_GRID_DENSITY * (n - 1) - 1) // 2)
+    # w_k = 2*pi*k / _GRID_DENSITY < pi * (levels - 1): below Nyquist on equally spaced distinct
+    # abscissas, short of the b -> 0 limit's aliases (b = 2*pi on integers with replicates).
+    points = min(_GRID_POINTS, (_GRID_DENSITY * (levels - 1) - 1) // 2)
     return 2.0 * math.pi / _GRID_DENSITY * np.arange(1, points + 1)
 
 
-def _scan_blocks(t: np.ndarray):
-    """Centered sin/cos columns of the grid frequencies and their Gram entries, by blocks.
+def _rank_floor(n: int) -> float:
+    """np.linalg.lstsq's rank rule: a centered column of squared norm at most this is zero."""
+    # A norm bound of eps * sqrt(n), the scale of n sin or cos values, times n (at least 3).
+    return (np.finfo(float).eps * max(n, 3)) ** 2 * n
 
-    Yields (s, c, ss, cc, sc, det) per block of at most _GRID_BLOCK cells.
-    exp(i w_k t) comes from a running product over k (about k ulps of
-    error, ample for a ranking), and centering removes the offset column.
+
+def _scan_blocks(t: np.ndarray):
+    """Centered sin/cos columns of the grid frequencies, by blocks, as _centered_fit takes them.
+
+    Yields (s, c, 1/|s|^2, 1/|c|^2) per block of at most _GRID_BLOCK cells:
+    each cos row has lost its projection on its sin row (one Gram-Schmidt
+    step), and a column the rank rule drops has inverse squared norm 0.  The
+    first block is sin and cos of w_k t, later ones turn it by lo * w_1 t: a
+    few ulps, where a running product's k ulps lift noise over the rule.
     """
-    ws = _frequency_grid(t.size)
-    step = np.exp(1j * ws[0] * t)
-    phase = np.ones_like(step)
+    ws = _frequency_grid(np.unique(t).size)
+    floor = _rank_floor(t.size)
     rows = max(1, _GRID_BLOCK // t.size)
+    wt = np.multiply.outer(ws[:rows], t)
+    head_s, head_c = np.sin(wt), np.cos(wt)
     for lo in range(0, ws.size, rows):
-        z = phase * np.cumprod(np.broadcast_to(step, (min(rows, ws.size - lo), t.size)), axis=0)
-        phase = z[-1]
-        s = z.imag - z.imag.mean(axis=1, keepdims=True)
-        c = z.real - z.real.mean(axis=1, keepdims=True)
+        if lo == 0:
+            s, c = head_s.copy(), head_c.copy()
+        else:
+            turn_s, turn_c, m = np.sin(lo * ws[0] * t), np.cos(lo * ws[0] * t), ws.size - lo
+            s = head_s[:m] * turn_c + head_c[:m] * turn_s
+            c = head_c[:m] * turn_c - head_s[:m] * turn_s
+        s -= s.mean(axis=1, keepdims=True)
+        c -= c.mean(axis=1, keepdims=True)
         ss = np.einsum("ij,ij->i", s, s)
+        inv_ss = np.divide(1.0, ss, out=np.zeros_like(ss), where=ss > floor)
+        c -= (np.einsum("ij,ij->i", s, c) * inv_ss)[:, None] * s
         cc = np.einsum("ij,ij->i", c, c)
-        sc = np.einsum("ij,ij->i", s, c)
-        yield s, c, ss, cc, sc, ss * cc - sc * sc
+        yield s, c, inv_ss, np.divide(1.0, cc, out=np.zeros_like(cc), where=cc > floor)
 
 
 @functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
@@ -221,12 +236,11 @@ def _scan_table(key: bytes) -> tuple[np.ndarray, ...]:
     return table
 
 
-def _grid_profiles(t: np.ndarray, ycs: list[np.ndarray], tss: list[float]) -> list[np.ndarray]:
+def _grid_profiles(t: np.ndarray, ycs: list[np.ndarray]) -> list[np.ndarray]:
     """Profile SSE at the grid frequencies of each centered ordinate row, for ranking them.
 
-    Entry i belongs to ``ycs[i]``, whose sum of squares is ``tss[i]``; the
-    SSE is tss minus the explained sum of squares of the 2x2 normal
-    equations, and degenerate columns give +inf.  Abscissas whose table fits
+    Entry i belongs to ``ycs[i]``: its sum of squares less its projections
+    on the orthogonal columns of _scan_blocks.  Abscissas whose table fits
     one block reuse it from _scan_table; longer ones are scanned block by
     block, uncached, each block serving every row, to bound memory.  Each
     row has its own matrix-vector products, so its values do not depend on
@@ -237,25 +251,24 @@ def _grid_profiles(t: np.ndarray, ycs: list[np.ndarray], tss: list[float]) -> li
     else:
         blocks = _scan_blocks(t)
     parts = [[] for _ in ycs]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for s, c, ss, cc, sc, det in blocks:
-            for yc, total, row in zip(ycs, tss, parts):
-                sy, cy = s @ yc, c @ yc
-                row.append(total - (cc * sy * sy - 2.0 * sc * sy * cy + ss * cy * cy) / det)
-    return [np.where(np.isfinite(p), p, np.inf) for p in map(np.concatenate, parts)]
+    for s, c, inv_ss, inv_cc in blocks:
+        for yc, row in zip(ycs, parts):
+            sy, cy = s @ yc, c @ yc
+            row.append(sy * sy * inv_ss + cy * cy * inv_cc)
+    return [yc.dot(yc) - np.concatenate(row) for yc, row in zip(ycs, parts)]
 
 
 def _centered_fit(sin: np.ndarray, cos: np.ndarray, yc: np.ndarray):
     """Least squares of centered ordinates on sin and cos: (A, B, the columns' means, residual).
 
     One Gram-Schmidt step orthogonalises the centered cos against the centered sin
-    (Bjorck 1967).  As in np.linalg.lstsq, a column left with norm at most
-    eps * max(n, 3) * sqrt(n), the columns' scale, counts as zero: its amplitude is 0.
+    (Bjorck 1967).  A column left under the rank rule of _rank_floor counts as
+    zero: its amplitude is 0.
     """
     n = sin.size
     means = np.add.reduce(sin) / n, np.add.reduce(cos) / n
     s, c = sin - means[0], cos - means[1]
-    tol = (np.finfo(float).eps * max(n, 3)) ** 2 * n
+    tol = _rank_floor(n)
     ss = s.dot(s)
     proj, alpha = (s.dot(c) / ss, s.dot(yc) / ss) if ss > tol else (0.0, 0.0)
     c = c - proj * s
@@ -319,15 +332,16 @@ def _secant_minimize(w: float, lo: float, hi: float, curvature: float, t: np.nda
 def fit_sinusoid(x: np.ndarray, ys: np.ndarray) -> FitBatch:
     """Least squares fit of a*sin(b*x + c) + d to each row of ``ys``.
 
-    The search runs in span units, on t = (x - mean) / span and w = b * span.
+    The search runs in span units, on t = (x - min) / span and w = b * span.
     Each fit is global over w from 2*pi / 20 up to 8 periods over the span
-    and below Nyquist, (n - 1) / 2 periods on n points: the scan, set up
-    once per batch, ranks the grid frequencies, and a secant on the
-    profile's slope refines the best one between its neighbours
+    and below Nyquist, (m - 1) / 2 periods on m distinct abscissas: the
+    scan, set up once per batch, ranks the grid frequencies, and a secant on
+    the profile's slope refines the best one between its neighbours
     (``iterations`` counts its slope evaluations).  An optimum on an edge of
     that domain (at the low end, the b -> 0 limit where the family
     degenerates to a quadratic) is the exact linear fit there, flagged by
-    stop reason BOUNDARY.  Data faster than the domain's upper end are not
+    stop reason BOUNDARY; on m <= 3 the profile is flat and no edge is
+    flagged.  Data faster than the domain's upper end are not
     always flagged: a whole number of periods above 8 fits a side lobe
     inside the domain, with stop reason TOLERANCE.  The parameters come out
     canonical from the exact solve in x: b > 0, a >= 0 and c in (-pi, pi].
@@ -339,19 +353,19 @@ def fit_sinusoid(x: np.ndarray, ys: np.ndarray) -> FitBatch:
         raise ValueError(f"sinusoid fits need at least {model.n_params} points, got {x.size}")
     params, sse = np.empty((len(ys), model.n_params)), np.empty(len(ys))
     iterations, reasons = np.empty(len(ys), dtype=int), [TOLERANCE] * len(ys)
-    ws = _frequency_grid(x.size)
     try:
         with np.errstate(over="raise"):
             span = float(x.max() - x.min())
             if span <= 0.0:
                 raise ValueError("abscissas must span a positive interval")
+            t = (x - x.min()) / span
+            levels = np.unique(t).size
+            ws = _frequency_grid(levels)
             # Python floats overflow to inf silently.
             if not math.isfinite(float(ws[-1]) / span):
                 raise ValueError(f"abscissa span {span!r} is too short: the frequencies overflow")
-            t = (x - x.mean()) / span
             ycs = [y - y.mean() for y in ys]
-            tss = [float(yc @ yc) for yc in ycs]
-            for i, profile in enumerate(_grid_profiles(t, ycs, tss)):
+            for i, profile in enumerate(_grid_profiles(t, ycs)):
                 k = int(np.argmin(profile))
                 lo, hi = ws[max(k - 1, 0)], ws[min(k + 1, ws.size - 1)]
                 # The first curvature is the scan's second difference; an end of the grid has none.
@@ -362,8 +376,9 @@ def fit_sinusoid(x: np.ndarray, ys: np.ndarray) -> FitBatch:
                 w, iterations[i] = _secant_minimize(float(ws[k]), float(lo), float(hi), curvature,
                                                     t, ycs[i])
                 params[i], sse[i] = _linear_at(w / span, x, ys[i])
-                # A bracket that touches an end of the domain keeps the end if it fits no worse.
-                for edge in (lo, hi):
+                # A bracket that touches an end of the domain keeps the end if it fits no worse,
+                # unless the profile is flat: on at most three levels any frequency fits as well.
+                for edge in (lo, hi) if levels > 3 else ():
                     if edge in (ws[0], ws[-1]):
                         edge_row, edge_sse = _linear_at(edge / span, x, ys[i])
                         if edge_sse <= sse[i]:

@@ -40,10 +40,15 @@ def dense_profile(x, y):
     """
     base = 2.0 * math.pi / (x.max() - x.min())
     bs = base * np.arange(1, min(8 * 50, 25 * (x.size - 1) - 1) + 1) / 50
+    return bs, qr_profile(bs, x, y)
+
+
+def qr_profile(bs, x, y):
+    """The exact SSE profile of a*sin(bx+c)+d at the frequencies ``bs``, by batched QR."""
     arg = np.multiply.outer(bs, x)
     q, _ = np.linalg.qr(np.stack([np.sin(arg), np.cos(arg), np.ones_like(arg)], axis=-1))
     resid = y - np.einsum("kij,kj->ki", q, np.einsum("kij,i->kj", q, y))
-    return bs, np.einsum("ki,ki->k", resid, resid)
+    return np.einsum("ki,ki->k", resid, resid)
 
 
 def dense_profile_reference(x, y):
@@ -298,8 +303,8 @@ class TestFitNonlinear:
 
     def test_frequency_grid_is_deterministic(self):
         # 160 frequencies 2*pi * k / 20 in span units: up to 8 periods over
-        # the span, fixed by the number of points alone, below 18 of them by
-        # Nyquist.
+        # the span, fixed by the number of distinct abscissas alone, below 18
+        # of them by Nyquist.
         grid = lsq._frequency_grid(100)
         assert grid.size == 160
         assert grid[0] == 2.0 * math.pi / 20
@@ -402,6 +407,55 @@ class TestFitNonlinear:
             result = fit_batch(ModelSpec.sinusoid(), x, y[None])
             assert result.sse[0] <= dense_profile(x, y)[1].min() + 0.05 * tss, (n, h)
 
+    def test_repeated_abscissas_reach_the_optimum(self):
+        # Integer levels with replicates: on integers sin(bx) is rounding
+        # noise at b = k*pi, and a scan that divides by a determinant of
+        # that noise ranks such a frequency first.  Every fit not flagged
+        # boundary must come within 1e-6 of TSS of the exact profile below
+        # the levels' Nyquist frequency, pi.
+        rng = np.random.default_rng(5)
+        bs = np.linspace(0.02, math.pi - 0.02, 3000)
+        for _ in range(100):
+            levels, replicates = int(rng.integers(5, 13)), int(rng.integers(2, 6))
+            x = np.repeat(np.arange(levels, dtype=float), replicates)
+            b, c, sigma = rng.uniform(0.2, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(0.05, 0.8)
+            y = np.sin(b * x + c) + rng.normal(0.0, sigma, x.size)
+            result = fit_batch(ModelSpec.sinusoid(), x, y[None])
+            if result.stop_reasons[0] == "boundary":
+                continue
+            tss = float(np.sum((y - y.mean()) ** 2))
+            assert result.sse[0] <= qr_profile(bs, x, y).min() + 1e-6 * tss
+            assert result.params[0, 1] < math.pi
+
+    def test_replicates_end_on_the_lower_edge(self):
+        # Five integer levels, four rows each, whose optimum is the b -> 0
+        # limit.  Its exact alias at b = 2*pi lies above the levels' Nyquist
+        # frequency and outside the grid, so the limit is not left to a tie.
+        i = np.arange(20)
+        x = (i // 4).astype(float)
+        y = np.sin(0.5 * x + 2.0) + 0.3 * np.sin(7.3 * i)
+        result = fit_batch(ModelSpec.sinusoid(), x, y[None])
+        assert result.stop_reasons[0] == "boundary"
+        assert result.params[0, 1] == 2.0 * math.pi / 20 / 4
+        quad = np.polyval(np.polyfit(x, y, 2), x) - y
+        tss = float(np.sum((y - y.mean()) ** 2))
+        assert quad @ quad <= result.sse[0] <= 0.1 * tss
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_flat_profile_is_not_flagged(self, levels):
+        # On two or three distinct abscissas every frequency of the domain
+        # fits the group means, so no end of it is preferred: each fit stops
+        # on tolerance with the within-group SSE, whatever rounding ranks first.
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            scale, replicates = rng.choice([1.0, 3.0, 0.1]), int(rng.integers(2, 6))
+            x = scale * np.repeat(np.arange(float(levels)), replicates)
+            y = rng.normal(0.0, 1.0, x.size)
+            result = fit_batch(ModelSpec.sinusoid(), x, y[None])
+            within = sum(float(np.sum((y[x == v] - y[x == v].mean()) ** 2)) for v in np.unique(x))
+            assert result.stop_reasons[0] == "tolerance"
+            assert result.sse[0] == pytest.approx(within, rel=1e-12)
+
 
 class TestSinusoidInvariance:
     """Metamorphic relations of the sinusoid fit (Chen, Cheung & Yiu 1998).
@@ -428,10 +482,10 @@ class TestSinusoidInvariance:
 
     @pytest.mark.parametrize("kind, factor", [
         ("scale_x", 2.0**40), ("scale_x", 2.0**-40), ("scale_x", 1e-100), ("scale_x", 1e6),
-        ("scale_x", 1e80), ("scale_x", 5e299), ("shift_x", 3.0), ("permute", None),
-        ("scale_y", 2.0**20),
-    ], ids=["x2**40", "x2**-40", "x1e-100", "x1e6", "x1e80", "x5e299", "shift3spans",
-            "permute", "y2**20"])
+        ("scale_x", 1e80), ("scale_x", 5e299), ("scale_x", 1e307), ("scale_x", 1.7e308),
+        ("shift_x", 3.0), ("permute", None), ("scale_y", 2.0**20),
+    ], ids=["x2**40", "x2**-40", "x1e-100", "x1e6", "x1e80", "x5e299", "x1e307", "x1.7e308",
+            "shift3spans", "permute", "y2**20"])
     def test_transformed_fit_agrees(self, kind, factor):
         x, ys = self.unit_data()
         unit = fit_batch(ModelSpec.sinusoid(), x, ys)
@@ -474,7 +528,7 @@ class TestLinearSolve:
     @staticmethod
     def frequencies(x, rng):
         """The scan's grid and 40 random frequencies below its top, in units of b."""
-        grid = lsq._frequency_grid(x.size)
+        grid = lsq._frequency_grid(np.unique(x).size)
         return np.concatenate([grid, rng.uniform(0.0, grid[-1], 40)]) / (x.max() - x.min())
 
     @pytest.mark.parametrize("name", list(ABSCISSAS))
@@ -512,16 +566,20 @@ class TestProfileKernels:
         x = np.linspace(0.0, 1.0, 200)
         return {"x": x, "xx": x + x**0.4, "shifted": np.linspace(1000.0, 1001.0, 200)}
 
-    @pytest.mark.parametrize("name", ["x", "xx", "shifted"])
+    @pytest.mark.parametrize("name", ["x", "xx", "shifted", "two_values", "three_values", "long"])
     def test_closed_form_matches_exact_profile(self, name):
-        x = self.abscissas()[name]
+        # On two and three distinct values the scan must drop what rounding
+        # leaves of a parallel column, by the solve's rank rule; long data
+        # are scanned in several blocks.
+        x = {**self.abscissas(), **TestLinearSolve.ABSCISSAS}[name]
         rng = np.random.default_rng(43)
         y = np.sin(x - x[0]) + rng.normal(0.0, 0.3, x.size)
         yc = y - y.mean()
         tss = float(yc @ yc)
         span = x[-1] - x[0]
-        exact = np.array([lstsq_sse(w / span, x, y) for w in lsq._frequency_grid(x.size)])
-        scan = lsq._grid_profiles((x - x.mean()) / span, [yc], [tss])[0]
+        grid = lsq._frequency_grid(np.unique(x).size)
+        exact = np.array([lstsq_sse(w / span, x, y) for w in grid])
+        scan = lsq._grid_profiles((x - x.min()) / span, [yc])[0]
         assert np.max(np.abs(scan - exact)) <= 1e-12 * tss
 
     @pytest.mark.parametrize("name", ["x", "xx", "shifted"])
@@ -539,7 +597,7 @@ class TestProfileKernels:
         def exact(b):
             return lstsq_sse(b, x, y)
 
-        t = (x - x.mean()) / span
+        t = (x - x.min()) / span
         for w in lsq._frequency_grid(x.size)[::7]:
             slope = lsq._profile_slope(w, t, yc) * span
             b, h = w / span, 1e-4 / span
@@ -551,10 +609,9 @@ class TestProfileKernels:
         for x in self.abscissas().values():
             y = rng.normal(0.0, 1.0, x.size)
             yc = y - y.mean()
-            tss = float(yc @ yc)
             lsq._scan_table.cache_clear()
-            cold = lsq._grid_profiles(x, [yc], [tss])[0]
-            warm = lsq._grid_profiles(x.copy(), [yc], [tss])[0]
+            cold = lsq._grid_profiles(x, [yc])[0]
+            warm = lsq._grid_profiles(x.copy(), [yc])[0]
             assert lsq._scan_table.cache_info().hits == 1
             assert warm.tobytes() == cold.tobytes()
 
