@@ -31,7 +31,7 @@ from .experiment import (
     grid_config,
     run_monte_carlo,
 )
-from .lsq import FitBatch, ModelSpec, SingularFitError, fit_batch, predict
+from .lsq import FitBatch, ModelSpec, SingularFitError, fit_batch
 from .stretched import stretched_fit_batch
 
 EXIT_OK = 0
@@ -71,14 +71,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def _fit_dict(batch: FitBatch) -> dict:
     """The first fit of ``batch`` as a report entry."""
     model = batch.model.family if batch.model.degree is None else f"poly{batch.model.degree}"
-    return {
-        "model": model,
-        "params": batch.params[0].tolist(),
-        "sse": float(batch.sse[0]),
-        "iterations": int(batch.iterations[0]),
-        "converged": bool(batch.converged[0]),
-        "stop_reason": batch.stop_reasons[0],
-    }
+    return {"model": model, "params": batch.params[0].tolist(), "sse": float(batch.sse[0]),
+            "iterations": int(batch.iterations[0]), "converged": bool(batch.converged[0]),
+            "stop_reason": batch.stop_reasons[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +210,8 @@ def cmd_fit(args) -> int:
         converged = result.converged[0]
     else:
         transition, final = stretched_fit_batch(model, x, y[None], args.beta)
-        report = {
-            "manifest": manifest,
-            "method": "stretched",
-            **_fit_dict(final),
-            "stages": {
-                "beta": args.beta,
-                "transition": _fit_dict(transition),
-                "final": _fit_dict(final),
-            },
-        }
+        stages = {"beta": args.beta, "transition": _fit_dict(transition), "final": _fit_dict(final)}
+        report = {"manifest": manifest, "method": "stretched", **_fit_dict(final), "stages": stages}
         converged = transition.converged[0] and final.converged[0]
 
     _write_text(out, json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
@@ -324,10 +311,8 @@ def cmd_tables(args) -> int:
             cells |= {f"median_{col}": summary["medians"][col], f"iqr_{col}": summary["iqrs"][col]}
         _write_csv(summary_path, list(cells), [list(cells.values())])
 
-        x = np.linspace(*cfg.x_domain, cfg.n)
-        columns = [x, report.ordinates[k], predict(cfg.truth_model, cfg.truth_params, x),
-                   predict(cfg.truth_model, report.lsm.params[k], x),
-                   predict(cfg.truth_model, report.final.params[k], x)]
+        columns = [report.x, report.ordinates[k], report.truth, report.lsm.fitted[k],
+                   report.final.fitted[k]]
         figure_path = outdir / f"figure_{stem}.csv"
         _write_csv(figure_path, ["x", "y_noisy", "f_true", "F_lsm", "F_slsm"],
                    np.column_stack(columns).tolist())

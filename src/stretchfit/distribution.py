@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,42 +81,58 @@ class StretchedGaussian:
         return 1.0 / (2.0 * self.beta)
 
 
+@contextmanager
+def _double_range(what: str):
+    """Raise ValueError naming ``what`` where the block overflows a double."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (FloatingPointError, OverflowError) as exc:
+        raise ValueError(f"{what} overflows a double ({exc})") from exc
+
+
+def _log_normalization(law: StretchedGaussian) -> float:
+    a = law.gamma_shape
+    return a * math.log(law.scale) + math.lgamma(a) - math.log(law.beta)
+
+
 def normalization_constant(law: StretchedGaussian) -> float:
     """Integral of exp(-|x|^(2*beta)/c) over the real line.
 
-    Z = c**(1/(2*beta)) * Gamma(1/(2*beta)) / beta.  At beta = 1 this is
-    sqrt(pi * c), the familiar Gaussian prefactor.
+    Z = c**(1/(2*beta)) * Gamma(1/(2*beta)) / beta, the exponential of its
+    logarithm.  At beta = 1 this is sqrt(pi * c), the familiar Gaussian prefactor.
     """
-    a = law.gamma_shape
-    return law.scale**a * math.gamma(a) / law.beta
+    with _double_range("the normalization constant"):
+        return math.exp(_log_normalization(law))
 
 
 def pdf(law: StretchedGaussian, x):
-    """Normalized density of the law at ``x`` (scalar or array).
+    """Normalized density exp(-|x|**(2*beta)/c - log Z) at ``x`` (scalar or array).
 
-    Raises ValueError for non-finite evaluation points.
+    Raises ValueError for non-finite evaluation points and where the density overflows.
     """
     xv = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xv)):
         raise ValueError("pdf evaluation point must be finite")
-    z = normalization_constant(law)
-    out = np.exp(-np.abs(xv) ** (2.0 * law.beta) / law.scale) / z
+    with np.errstate(over="ignore"):  # a kernel of inf is a density of 0
+        kernel = np.abs(xv) ** (2.0 * law.beta) / law.scale
+    with _double_range("the density"):
+        out = np.exp(-kernel - _log_normalization(law))
     return out if xv.shape else float(out)
 
 
 def absolute_moment(law: StretchedGaussian, k: int) -> float:
     """E|X|**k = c**(k/(2*beta)) * Gamma((k+1)/(2*beta)) / Gamma(1/(2*beta)).
 
-    ``k = 0`` returns 1 (total mass).  Uses log-gamma to stay finite for
-    large moment orders.
+    ``k = 0`` returns 1 (total mass).  One exponent of log(c) and log-gamma
+    keeps it finite for large moment orders.
     """
-    if k < 0:
-        raise ValueError(f"moment order must be nonnegative, got {k}")
-    if k == 0:
-        return 1.0
+    if not 0 <= k < math.inf:
+        raise ValueError(f"moment order must be finite and nonnegative, got {k}")
     two_beta = 2.0 * law.beta
-    log_ratio = math.lgamma((k + 1) / two_beta) - math.lgamma(1.0 / two_beta)
-    return law.scale ** (k / two_beta) * math.exp(log_ratio)
+    with _double_range(f"absolute moment {k}"):
+        return math.exp(k / two_beta * math.log(law.scale) + math.lgamma((k + 1) / two_beta)
+                        - math.lgamma(1.0 / two_beta))
 
 
 def _sign_words(rng: np.random.Generator, n: int) -> np.ndarray:

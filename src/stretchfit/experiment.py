@@ -69,13 +69,16 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """A seeded Monte Carlo run: its per-trial columns and their summary.
+    """A seeded Monte Carlo run: its grid, per-trial columns and their summary.
 
-    Row k of the noisy ``ordinates``, of ``errors`` (columns in ERROR_COLUMNS
-    order) and of the fit batches belongs to trial k.
+    The trials share the abscissas ``x`` and the ``truth`` there.  Row k of the noisy
+    ``ordinates``, of ``errors`` (columns in ERROR_COLUMNS order) and of the fit
+    batches, whose ``fitted`` values lie on ``x``, belongs to trial k.
     """
 
     config: TrialConfig
+    x: np.ndarray
+    truth: np.ndarray
     ordinates: np.ndarray
     errors: np.ndarray
     lsm: FitBatch
@@ -260,16 +263,15 @@ def run_monte_carlo(cfg: TrialConfig, repetitions: int) -> ExperimentReport:
     # At an extreme eta the squared gaps overflow; the non-finite errors are
     # reported below.
     with np.errstate(over="ignore", invalid="ignore"):
-        lsm_values, slsm_values = lsm.predict(x), final.predict(x)
-        errors = np.column_stack([error1(lsm_values, truth), error2(lsm_values, truth),
-                                  error1(slsm_values, truth), error2(slsm_values, truth)])
+        errors = np.column_stack([error1(lsm.fitted, truth), error2(lsm.fitted, truth),
+                                  error1(final.fitted, truth), error2(final.fitted, truth)])
 
     bad = np.argwhere(~np.isfinite(errors))
     if bad.size:
         k, j = bad[0].tolist()
         raise ValueError(f"trial {k} has a non-finite {ERROR_COLUMNS[j]} ({errors[k, j]})")
 
-    return ExperimentReport(cfg, ys, errors, lsm, transition, final)
+    return ExperimentReport(cfg, x, truth, ys, errors, lsm, transition, final)
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,13 @@ class FractalAxis:
 
 
 def fractal_distance(axis: FractalAxis, point):
-    """Stretched distance (point - origin)**exponent, elementwise, for point >= origin.
+    """Stretched distance (point - origin)**exponent, elementwise, for finite point >= origin.
 
     A scalar point gives a float and an array keeps its shape; an overflow raises ValueError.
     """
     p = np.asarray(point, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"point {p[~np.isfinite(p)][0]} is not finite")
     before = p < axis.origin
     if before.any():
         raise ValueError(f"point {p[before][0]} lies before the axis origin {axis.origin}")
@@ -58,8 +60,8 @@ def hausdorff_integral(v: Callable[[float], float], axis: FractalAxis,
     which is evaluated by composite Gauss-Legendre quadrature with at least
     ``quadrature_points`` nodes.
     """
-    if upper <= axis.origin:
-        raise ValueError(f"upper bound {upper} must exceed the origin {axis.origin}")
+    if not axis.origin < upper < math.inf:
+        raise ValueError(f"upper bound {upper} must be finite and exceed the origin {axis.origin}")
     if quadrature_points < 1:
         raise ValueError("quadrature_points must be at least 1")
 
@@ -90,14 +92,12 @@ def hausdorff_derivative(l: Callable[[float], float], axis: FractalAxis,
     (point - origin) * 1e-6.
     """
     gap = point - axis.origin
-    if gap <= 0.0:
-        raise ValueError(f"point {point} must lie strictly after the origin {axis.origin}")
+    if not 0.0 < gap < math.inf:
+        raise ValueError(f"point {point} must lie a finite distance after the origin {axis.origin}")
     if step is None:
         step = gap * 1e-6
-    if step >= gap:
-        raise ValueError(f"step {step} is too large for point - origin = {gap}")
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < gap:
+        raise ValueError(f"step {step} must lie in (0, point - origin) = (0, {gap})")
     slope = (l(point + step) - l(point - step)) / (2.0 * step)
     metric = axis.exponent * gap ** (axis.exponent - 1.0)
     return slope / metric

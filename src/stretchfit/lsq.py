@@ -88,14 +88,15 @@ class ModelSpec:
 class FitBatch:
     """Fits of one model to each ordinate row of a batch on shared abscissas.
 
-    Row i of ``params`` and entry i of ``sse``, ``iterations`` and
-    ``stop_reasons`` describe the fit to row i; a single fit is a batch of
-    one.  Each stop reason, CLOSED_FORM, TOLERANCE or BOUNDARY, says why
-    that solve stopped.
+    Row i of ``params`` and of ``fitted``, the fit's values at the batch's own
+    abscissas as ``predict(model, params, x)`` gives them, and entry i of ``sse``,
+    ``iterations`` and ``stop_reasons`` describe the fit to row i; a single fit is
+    a batch of one.  Each stop reason, CLOSED_FORM, TOLERANCE or BOUNDARY, says why.
     """
 
     model: ModelSpec
     params: np.ndarray
+    fitted: np.ndarray
     sse: np.ndarray
     iterations: tuple[int, ...]
     stop_reasons: tuple[str, ...]
@@ -104,10 +105,6 @@ class FitBatch:
     def converged(self) -> np.ndarray:
         """For every fit, True unless its optimum lies on an edge of the frequency domain."""
         return np.array([reason != BOUNDARY for reason in self.stop_reasons], dtype=bool)
-
-    def predict(self, x) -> np.ndarray:
-        """Values of every fit at ``x``, one row per fit."""
-        return predict(self.model, self.params, x)
 
 
 def predict(model: ModelSpec, params, x) -> np.ndarray:
@@ -173,10 +170,10 @@ def fit_linear(degree: int, x: np.ndarray, ys: np.ndarray) -> FitBatch:
         )
     model = ModelSpec.polynomial(degree)
     params = np.einsum("mn,pn->mp", ys, (vt.T / s) @ u.T)
-    residual = predict(model, params, x)
-    residual -= ys
+    fitted = predict(model, params, x)
+    residual = fitted - ys
     sse = np.einsum("mn,mn->m", residual, residual)
-    return FitBatch(model, params, sse, (0,) * len(ys), (CLOSED_FORM,) * len(ys))
+    return FitBatch(model, params, fitted, sse, (0,) * len(ys), (CLOSED_FORM,) * len(ys))
 
 
 def _frequency_grid(levels: int) -> np.ndarray:
@@ -386,7 +383,8 @@ def fit_sinusoid(x: np.ndarray, ys: np.ndarray) -> FitBatch:
                             break
     except FloatingPointError as exc:
         raise ValueError(f"sinusoid fit overflows ({exc}): the data are too large") from exc
-    return FitBatch(model, params, sse, tuple(iterations.tolist()), tuple(reasons))
+    return FitBatch(model, params, predict(model, params, x), sse, tuple(iterations.tolist()),
+                    tuple(reasons))
 
 
 def fit_batch(model: ModelSpec, x, ys) -> FitBatch:

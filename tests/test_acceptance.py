@@ -146,7 +146,7 @@ def test_criterion_4_beta_one_equivalence():
         y = predict(ModelSpec.polynomial(2), coeffs, x) + rng.normal(0.0, 0.4, n)
         plain = fit_batch(ModelSpec.polynomial(2), x, y[None])
         _, two_stage = stretched_fit_batch(ModelSpec.polynomial(2), x, y[None], 1.0)
-        worst = max(worst, float(np.max(np.abs(two_stage.predict(x) - plain.predict(x)))))
+        worst = max(worst, float(np.max(np.abs(two_stage.fitted - plain.fitted))))
     ok = report(4, "beta=1 equivalence", worst <= 1e-8,
                 f"worst prediction gap {worst:.2e} over 50 noisy datasets (tol 1e-8)")
     assert ok

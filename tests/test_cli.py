@@ -733,20 +733,32 @@ class TestTables:
     @pytest.mark.parametrize("token", ["poly:b0.4:e30", "sin:b0.8:e50"])
     def test_figure_ordinates_are_the_representative_trial(self, tmp_path, token):
         # The figure's noisy ordinates come from the batch; they must be the
-        # bits the representative trial draws alone from its own stream.
+        # bits the representative trial draws alone from its own stream.  Its
+        # curves are the truth and the table's two fits, evaluated on the grid.
         outdir = tmp_path / "tables"
         assert main(["tables", "--reps", "9", "--seed", "3",
                      "--configs", token, "--out", str(outdir)]) == 0
         k = json.loads((outdir / "manifest.json").read_text())["summaries"][token][
             "representative_trial"]
         cfg = dict(benchmark_grid(3))[token]
-        figure = (outdir / f"figure_{token.replace(':', '_')}.csv").read_text().splitlines()
-        y_noisy = np.array([float(line.split(",")[1]) for line in figure[1:]])
-        truth = predict(cfg.truth_model, cfg.truth_params, np.linspace(*cfg.x_domain, cfg.n))
+        stem = token.replace(":", "_")
+        figure = (outdir / f"figure_{stem}.csv").read_text().splitlines()
+        x_grid, y_noisy, f_true, f_lsm, f_slsm = np.array(
+            [[float(v) for v in line.split(",")] for line in figure[1:]]).T
+        x = np.linspace(*cfg.x_domain, cfg.n)
+        truth = predict(cfg.truth_model, cfg.truth_params, x)
         expected, following = (experiment._add_noise(cfg, truth, [trial_rng(cfg.seed, i)])[0]
                                for i in (k, k + 1))
         assert y_noisy.tobytes() == expected.tobytes()
         assert y_noisy.tobytes() != following.tobytes()
+        # 17 significant digits parse back to the same doubles.
+        table = {row[0]: [float(v) for v in row[1:-2]] for row in
+                 (line.split(",") for line in (outdir / f"table_{stem}.csv").read_text()
+                  .splitlines()[1:])}
+        assert x_grid.tobytes() == x.tobytes()
+        assert f_true.tobytes() == truth.tobytes()
+        for column, method in ((f_lsm, "LSM"), (f_slsm, "Stretched-LSM")):
+            assert column.tobytes() == predict(cfg.truth_model, table[method], x).tobytes()
 
     def test_all_trials_failed_is_numerical_failure(self, tmp_path, capsys, failing_fit):
         code = main(["tables", "--configs", "poly:b0.4:e30", "--reps", "3",

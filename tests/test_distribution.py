@@ -214,6 +214,61 @@ class TestAbsoluteMoment:
             absolute_moment(law_with_scale(1.0, 1.0), -1)
 
 
+class TestLogSpaceConstants:
+    """Z, the density and the moments are each one exponential of a log-space exponent."""
+
+    def test_high_order_moment_beyond_the_power_range(self):
+        # c**1000 underflows and Gamma(1001.25) overflows, but the moment is
+        # about 492 (reference from 40-digit arithmetic).
+        law = StretchedGaussian(alpha=1.0, beta=0.4, diffusivity=math.e / 4000.0, time=1.0)
+        assert absolute_moment(law, 800) == pytest.approx(491.8955381615924, rel=1e-10)
+
+    def test_density_where_the_normalization_underflows(self):
+        # log Z = -997.6, so Z is 0 as a double; the density at 1 is exp(-1e5 + 997.6).
+        law = StretchedGaussian(alpha=1.0, beta=0.003, diffusivity=1e-5, time=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pdf(law, 1.0) == 0.0
+            with pytest.raises(ValueError, match="the density overflows a double"):
+                pdf(law, np.array([1.0, 0.0]))
+
+    def test_density_far_out_is_zero(self):
+        # |x|**2 overflows to inf at x = 1e200: the density is 0, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pdf(law_with_scale(1.0, 1.0), 1e200) == 0.0
+            assert pdf(law_with_scale(0.5, 1e-300), [0.0, 1e10]).tolist()[1] == 0.0
+
+    @pytest.mark.parametrize("compute, message", [
+        (lambda: normalization_constant(law_with_scale(0.002, 1.0)), "normalization constant"),
+        (lambda: absolute_moment(law_with_scale(0.01, 1.0), 4), "absolute moment 4"),
+        # Gamma(5e306) overflows before any exponential is taken.
+        (lambda: pdf(law_with_scale(1e-307, 1.0), 0.5), "the density"),
+    ], ids=["normalization", "moment", "lgamma"])
+    def test_overflow_is_value_error(self, compute, message):
+        with pytest.raises(ValueError, match=f"{message} overflows a double"):
+            compute()
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_non_finite_moment_order_rejected(self, k):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            absolute_moment(law_with_scale(0.5, 1.0), k)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.2, 0.4, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("c", [1e-3, 0.5, 1.0, 2.0, 50.0])
+    def test_agree_with_the_direct_formulas(self, beta, c):
+        # Where the products of powers and gamma values are normal doubles.
+        law, a = law_with_scale(beta, c), 1.0 / (2.0 * beta)
+        z = c**a * math.gamma(a) / beta
+        assert normalization_constant(law) == pytest.approx(z, rel=1e-12)
+        x = np.linspace(-2.0, 2.0, 41) * c**a
+        np.testing.assert_allclose(pdf(law, x), np.exp(-np.abs(x) ** (2.0 * beta) / c) / z,
+                                   rtol=1e-12)
+        for k in (1, 2, 3, 6):
+            moment = c ** (k * a) * math.gamma((k + 1) * a) / math.gamma(a)
+            assert absolute_moment(law, k) == pytest.approx(moment, rel=1e-12)
+
+
 class TestSamplers:
     N = 100_000
 

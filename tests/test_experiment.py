@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import stretchfit.cli as cli
 import stretchfit.experiment as experiment
 import stretchfit.lsq as lsq
 from stretchfit import (
@@ -20,7 +22,7 @@ from stretchfit import (
     standardize,
     stretched_fit_batch,
 )
-from stretchfit.experiment import ERROR_COLUMNS, TIE_RTOL, trial_rng, trial_rngs
+from stretchfit.experiment import ERROR_COLUMNS, TIE_RTOL, config_token, trial_rng, trial_rngs
 
 
 def poly_config(seed=0, beta=0.4, eta=30.0, **kw):
@@ -55,7 +57,7 @@ def single_trial(cfg, i):
     y = noisy_ordinates(cfg, trial_rng(cfg.seed, i))
     lsm = fit_batch(cfg.truth_model, x, y[None])
     transition, final = stretched_fit_batch(cfg.truth_model, x, y[None], cfg.beta)
-    lsm_values, slsm_values = lsm.predict(x)[0], final.predict(x)[0]
+    lsm_values, slsm_values = lsm.fitted[0], final.fitted[0]
     errors = (error1(lsm_values, truth), error2(lsm_values, truth),
               error1(slsm_values, truth), error2(slsm_values, truth))
     return tuple(float(e) for e in errors), lsm, (transition, final)
@@ -179,8 +181,10 @@ class TestRunTrial:
         cfg = poly_config(seed=2)
         report = run_monte_carlo(cfg, 2)
         x, truth = truth_values(cfg)
-        assert report.column("lsm_error1")[1] == error1(report.lsm.predict(x)[1], truth)
-        assert report.column("slsm_error2")[1] == error2(report.final.predict(x)[1], truth)
+        lsm_values = predict(report.lsm.model, report.lsm.params, x)
+        slsm_values = predict(report.final.model, report.final.params, x)
+        assert report.column("lsm_error1")[1] == error1(lsm_values[1], truth)
+        assert report.column("slsm_error2")[1] == error2(slsm_values[1], truth)
 
     def test_strong_config_beats_plain_fit_in_median(self):
         # Polynomial, beta 0.4, eta 30: the stretched method's median RMS
@@ -263,6 +267,31 @@ class TestRunMonteCarlo:
         assert lsq._scan_table.cache_info().hits > 0
         assert cold.errors.tobytes() == warm.errors.tobytes()
         assert fit_summaries(cold) == fit_summaries(warm)
+
+    @pytest.mark.parametrize("family", ["poly", "sin"])
+    def test_each_curve_evaluated_once(self, monkeypatch, tmp_path, family):
+        # The truth once and each of the three fit batches once, on its own
+        # abscissas; the figure of tables reuses the report's values.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return predict(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name == "stretchfit" or name.startswith("stretchfit."):
+                for attr, value in list(vars(module).items()):
+                    if value is predict:
+                        monkeypatch.setattr(module, attr, counted)
+        cfg = grid_config(family, 0.4, 30.0, seed=2)
+        report = run_monte_carlo(cfg, repetitions=5)
+        assert len(calls) == 4
+        x, truth = truth_values(cfg)
+        assert (report.x.tobytes(), report.truth.tobytes()) == (x.tobytes(), truth.tobytes())
+        calls.clear()
+        assert cli.main(["tables", "--reps", "5", "--configs", config_token(family, 0.4, 30.0),
+                         "--out", str(tmp_path)]) == 0
+        assert len(calls) == 4
 
     def test_median_and_iqr_match_numpy(self):
         cfg = poly_config(seed=8)

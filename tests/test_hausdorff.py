@@ -217,3 +217,26 @@ class TestResetHorizontal:
         x = (np.linspace(0.0, 1.0, 200) if grid == "linspace"
              else np.random.default_rng(7).uniform(0.0, 1.0, 100_000))
         assert reset_horizontal(x, beta).tobytes() == (x + x**beta).tobytes()
+
+
+_AXIS = FractalAxis(0.5)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: fractal_distance(_AXIS, math.nan), "point"),
+    (lambda: fractal_distance(_AXIS, np.array([0.5, math.inf])), "point"),
+    (lambda: reset_horizontal([0.5, math.nan], 0.4), "point"),
+    (lambda: hausdorff_derivative(math.sin, _AXIS, math.nan), "point"),
+    (lambda: hausdorff_derivative(math.sin, _AXIS, math.inf), "point"),
+    (lambda: hausdorff_derivative(math.sin, _AXIS, 1.0, step=math.nan), "step"),
+    (lambda: hausdorff_integral(math.cos, _AXIS, math.nan), "upper bound"),
+    (lambda: hausdorff_integral(math.cos, _AXIS, math.inf), "upper bound"),
+], ids=["distance-nan", "distance-inf", "reset-nan", "derivative-nan", "derivative-inf",
+        "derivative-step-nan", "integral-nan", "integral-inf"])
+def test_non_finite_argument_rejected(call, name):
+    # A ValueError naming the argument, where a nan or inf came back or a
+    # later step failed with a numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} (nan|inf) "):
+            call()

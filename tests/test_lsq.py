@@ -204,7 +204,7 @@ class TestFitLinear:
         y = predict(ModelSpec.polynomial(2), truth, x)
         perm = rng.permutation(x.size)
         result = fit_batch(ModelSpec.polynomial(2), x[perm], y[perm][None])
-        np.testing.assert_allclose(result.predict(x)[0], y, atol=1e-8)
+        np.testing.assert_allclose(predict(result.model, result.params, x)[0], y, atol=1e-8)
 
     def test_rank_deficient_design_rejected(self):
         with pytest.raises(SingularFitError):
@@ -644,7 +644,8 @@ class TestFitBatch:
                 assert single.params[0].tobytes() == batch.params[i].tobytes()
                 assert (single.sse[0], single.iterations[0], single.stop_reasons[0]) == (
                     batch.sse[i], batch.iterations[i], batch.stop_reasons[i])
-                assert single.predict(x)[0].tobytes() == batch.predict(x)[i].tobytes()
+                assert single.fitted[0].tobytes() == batch.fitted[i].tobytes()
+            assert batch.fitted.tobytes() == predict(batch.model, batch.params, x).tobytes()
             if model == ModelSpec.sinusoid():
                 assert {"boundary", "tolerance"} <= set(batch.stop_reasons)
 
@@ -667,7 +668,7 @@ class TestFitBatch:
         assert batch.params.shape == (0, model.n_params)
         assert batch.sse.shape == (0,)
         assert (batch.iterations, batch.stop_reasons) == ((), ())
-        assert batch.predict(x).shape == (0, x.size)
+        assert batch.fitted.shape == (0, x.size)
 
     def test_polynomial_rows_do_not_depend_on_batch_size(self):
         # A BLAS matrix product changes a row's last bits with the row count.

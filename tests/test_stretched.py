@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
-import stretchfit.stretched as stretched
 from stretchfit import (
     ModelSpec,
     SingularFitError,
     fit_batch,
     grid_config,
     predict,
+    reset_horizontal,
     run_monte_carlo,
     stretched_fit_batch,
 )
@@ -36,7 +36,7 @@ class TestBetaOneEquivalence:
             x, y = noisy_quadratic(seed)
             plain = fit_batch(ModelSpec.polynomial(2), x, y[None])
             _, final = stretched_fit_batch(ModelSpec.polynomial(2), x, y[None], 1.0)
-            np.testing.assert_allclose(final.predict(x)[0], plain.predict(x)[0], atol=1e-8)
+            np.testing.assert_allclose(final.fitted[0], plain.fitted[0], atol=1e-8)
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
     def test_every_low_degree(self, degree):
@@ -45,7 +45,7 @@ class TestBetaOneEquivalence:
         y = rng.normal(0.0, 1.0, 80)
         plain = fit_batch(ModelSpec.polynomial(degree), x, y[None])
         _, final = stretched_fit_batch(ModelSpec.polynomial(degree), x, y[None], 1.0)
-        np.testing.assert_allclose(final.predict(x)[0], plain.predict(x)[0], atol=1e-8)
+        np.testing.assert_allclose(final.fitted[0], plain.fitted[0], atol=1e-8)
 
     def test_noiseless_sine(self):
         x = np.linspace(0.0, 1.0, 200)
@@ -106,23 +106,27 @@ class TestStageContracts:
                                 [[1.0, 2.0, 3.0, 4.0]], 0.5)
 
 
-class TestTransitionEvaluationFlag:
-    def test_original_abscissa_variant_collapses_to_transition(self, monkeypatch):
+class TestStageThreeOrdinates:
+    """Stage 3 refits the transition's values at the stretched abscissas, not at x."""
+
+    def test_original_abscissa_variant_collapses_to_transition(self):
         # Evaluating the transition polynomial at the original abscissas
         # would make stage 3 an exact refit of a polynomial, so final ==
         # transition; the method evaluates it at the transformed ones.
         x, y = noisy_quadratic(11)
-        monkeypatch.setattr(stretched, "predict",
-                            lambda model, params, _: predict(model, params, x))
-        transition, final = stretched_fit_batch(ModelSpec.polynomial(2), x, y[None], 0.4)
-        np.testing.assert_allclose(final.params, transition.params, rtol=1e-9)
+        model = ModelSpec.polynomial(2)
+        transition, final = stretched_fit_batch(model, x, y[None], 0.4)
+        refit = fit_batch(model, x, predict(model, transition.params, reset_horizontal(x, 0.4)))
+        for field in ("params", "fitted", "sse"):
+            assert getattr(final, field).tobytes() == getattr(refit, field).tobytes()
+        alt = fit_batch(model, x, predict(model, transition.params, x))
+        np.testing.assert_allclose(alt.params, transition.params, rtol=1e-9)
 
-    def test_default_variant_differs_from_original_variant(self, monkeypatch):
+    def test_default_variant_differs_from_original_variant(self):
         x, y = noisy_quadratic(12)
-        _, default = stretched_fit_batch(ModelSpec.polynomial(2), x, y[None], 0.4)
-        monkeypatch.setattr(stretched, "predict",
-                            lambda model, params, _: predict(model, params, x))
-        _, alt = stretched_fit_batch(ModelSpec.polynomial(2), x, y[None], 0.4)
+        model = ModelSpec.polynomial(2)
+        transition, default = stretched_fit_batch(model, x, y[None], 0.4)
+        alt = fit_batch(model, x, predict(model, transition.params, x))
         assert not np.allclose(default.params, alt.params)
 
 
@@ -134,7 +138,7 @@ class TestNoiselessFloor:
         x = np.linspace(0.0, 1.0, 200)
         y = x**2 + x + 2.0
         _, final = stretched_fit_batch(ModelSpec.polynomial(2), x, y[None], 0.4)
-        gap = final.predict(x)[0] - y
+        gap = final.fitted[0] - y
         floor_rms = float(np.sqrt(np.mean(gap**2)))
         assert 0.0 < floor_rms < 5e-3
 
@@ -142,7 +146,7 @@ class TestNoiselessFloor:
         x = np.linspace(0.0, 1.0, 200)
         y = x**2 + x + 2.0
         _, final = stretched_fit_batch(ModelSpec.polynomial(2), x, y[None], 1.0)
-        np.testing.assert_allclose(final.predict(x)[0], y, atol=1e-8)
+        np.testing.assert_allclose(final.fitted[0], y, atol=1e-8)
 
 
 class TestGainByDomain:
